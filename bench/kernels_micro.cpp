@@ -295,27 +295,25 @@ std::vector<SweepRow> run_threads_sweep(
   GptqConfig qcfg;
   qcfg.spec.bits = 4;
   qcfg.spec.group_size = 16;
-  // Quantized decode GEMV: one w4g16 layer in the blocked format, dotted
-  // with a single activation row — the packed decode hot path. The naive
-  // side is aptq::ref's per-element unpack-dequantize-accumulate loop over
-  // the identical blocks; both sides repeat the GEMV so each timed run is
+  // Quantized decode GEMV: one w4g16 and one w2g16 layer in the blocked
+  // format (the two widths an APTQ mixed-precision model serves), dotted
+  // with a single activation row (the packed decode hot path) and with a
+  // batch of 8 rows (batched decode). The naive side is aptq::ref's
+  // per-element unpack-dequantize-accumulate loop over the identical
+  // blocks, once per row; both sides repeat the GEMV so each timed run is
   // comfortably above clock resolution.
-  QuantSpec qgspec;
-  qgspec.bits = 4;
-  qgspec.group_size = 16;
-  const QuantizedLinear qglin(random_matrix(qg_d, qg_d, 26), qgspec);
-  const QBlock qgblk = qglin.block_view();
-  const std::vector<float> qgx = [&] {
-    Rng rng(27);
-    std::vector<float> v(qg_d);
-    for (auto& f : v) {
-      f = static_cast<float>(rng.normal());
-    }
-    return v;
-  }();
-  std::vector<float> qgy(qg_d);
+  const auto qg_layer = [&](int bits) {
+    QuantSpec spec;
+    spec.bits = bits;
+    spec.group_size = 16;
+    return QuantizedLinear(random_matrix(qg_d, qg_d, 26), spec);
+  };
+  const QuantizedLinear qglin4 = qg_layer(4);
+  const QuantizedLinear qglin2 = qg_layer(2);
+  constexpr std::size_t kQgBatch = 8;
+  const Matrix qgx = random_matrix(kQgBatch, qg_d, 27);
+  Matrix qgy(kQgBatch, qg_d);
   const std::size_t qg_iters = 64;
-
   // Effective flop counts: 2mnk for GEMM, tokens·d·(d+1) for the
   // upper-triangle SYRK (both impls do the same useful work), a nominal
   // 2·d³ for the GPTQ solve (dominated by its panel updates), and
@@ -325,14 +323,15 @@ std::vector<SweepRow> run_threads_sweep(
   const double syrk_flops = dn(hess_t) * dn(hess_d) * dn(hess_d + 1);
   const double gptq_flops = 2.0 * dn(gptq_d) * dn(gptq_d) * dn(gptq_d);
   const double qgemv_flops = dn(qg_iters) * 2.0 * dn(qg_d) * dn(qg_d);
+  const double qgemv8_flops = dn(kQgBatch) * qgemv_flops;
 
   struct KernelCase {
-    const char* kernel;
+    std::string kernel;
     const char* impl;
     double flops;
     std::function<void()> fn;
   };
-  const KernelCase cases[] = {
+  std::vector<KernelCase> cases = {
       {"matmul_512", "naive", gemm_flops,
        [&] { ref::gemm(ga, Trans::no, gb, Trans::no, gc); }},
       {"matmul_512", "tiled", gemm_flops,
@@ -351,21 +350,38 @@ std::vector<SweepRow> run_threads_sweep(
        }},
       {"gptq_solve_192", "tiled", gptq_flops,
        [&] { benchmark::DoNotOptimize(gptq_quantize(qw, qh, qcfg).weight); }},
-      {"quantized_gemv_w4g16", "naive", qgemv_flops,
-       [&] {
-         for (std::size_t i = 0; i < qg_iters; ++i) {
-           ref::qgemv(qgblk, qgx.data(), qgy.data());
-         }
-         benchmark::DoNotOptimize(qgy.data());
-       }},
-      {"quantized_gemv_w4g16", "tiled", qgemv_flops,
-       [&] {
-         for (std::size_t i = 0; i < qg_iters; ++i) {
-           kern::qgemv(qgblk, qgx.data(), qgy.data());
-         }
-         benchmark::DoNotOptimize(qgy.data());
-       }},
   };
+  for (const QuantizedLinear* lin : {&qglin4, &qglin2}) {
+    const QBlock q = lin->block_view();
+    const std::string w = "_w" + std::to_string(lin->spec().bits) + "g16";
+    cases.push_back({"quantized_gemv" + w, "naive", qgemv_flops, [&, q] {
+                     for (std::size_t i = 0; i < qg_iters; ++i) {
+                       ref::qgemv(q, qgx.data(), qgy.data());
+                     }
+                     benchmark::DoNotOptimize(qgy.data());
+                   }});
+    cases.push_back({"quantized_gemv" + w, "tiled", qgemv_flops, [&, q] {
+                     for (std::size_t i = 0; i < qg_iters; ++i) {
+                       kern::qgemv(q, qgx.data(), qgy.data());
+                     }
+                     benchmark::DoNotOptimize(qgy.data());
+                   }});
+    cases.push_back({"quantized_gemv8" + w, "naive", qgemv8_flops, [&, q] {
+                     for (std::size_t i = 0; i < qg_iters; ++i) {
+                       for (std::size_t b = 0; b < kQgBatch; ++b) {
+                         ref::qgemv(q, qgx.data() + b * qg_d,
+                                    qgy.data() + b * qg_d);
+                       }
+                     }
+                     benchmark::DoNotOptimize(qgy.data());
+                   }});
+    cases.push_back({"quantized_gemv8" + w, "tiled", qgemv8_flops, [&, q] {
+                     for (std::size_t i = 0; i < qg_iters; ++i) {
+                       kern::qgemv_batch(q, qgx.data(), kQgBatch, qgy.data());
+                     }
+                     benchmark::DoNotOptimize(qgy.data());
+                   }});
+  }
 
   std::vector<SweepRow> rows;
   for (const auto& c : cases) {

@@ -240,8 +240,9 @@ QuantizedLinear::QuantizedLinear(const Matrix& w, const QuantSpec& spec)
 }
 
 void QuantizedLinear::init_geometry() {
-  // 1/2/4/8-bit codes pack exactly; 3-bit codes (and fp4) ride in nibbles.
-  packed_bits_ = spec_.bits == 3 ? 4 : spec_.bits;
+  // 1/2/4/8-bit codes pack exactly; 3-bit codes (and fp4) ride in nibbles
+  // and 5..7-bit codes in whole bytes.
+  packed_bits_ = spec_.bits == 3 ? 4 : spec_.bits > 4 ? 8 : spec_.bits;
   group_len_ = spec_.group_size == 0 ? cols_ : spec_.group_size;
   groups_ = group_len_ > 0 ? (cols_ + group_len_ - 1) / group_len_ : 0;
   bytes_per_group_ =
@@ -265,7 +266,7 @@ void QuantizedLinear::finalize_dequant() {
 
 bool QuantizedLinear::has_kernel_path() const {
   return spec_.format == QFormat::int_affine && cols_ > 0 &&
-         (packed_bits_ == 4 || packed_bits_ == 8);
+         packed_bits_ >= 2;
 }
 
 QBlock QuantizedLinear::block_view() const {
@@ -353,7 +354,7 @@ Matrix QuantizedLinear::matmul_transposed(const Matrix& x) const {
     kern::qgemv_multi(block_view(), x.data(), x.rows(), out.data());
     return out;
   }
-  // Scalar fallback (fp4 and sub-nibble widths). Output rows are
+  // Scalar fallback (fp4 and 1-bit). Output rows are
   // independent: split them across the pool (fixed grain, disjoint writes —
   // bitwise identical at any thread count).
   parallel_for(0, rows_, 8, [&](std::size_t rb, std::size_t re) {
@@ -411,7 +412,7 @@ void QuantizedLinear::matvec_transposed(std::span<const float> x,
     kern::qgemv(block_view(), x.data(), y.data());
     return;
   }
-  // Scalar fallback for the non-kernel formats: dequantize in kChunk-wide
+  // Scalar fallback for fp4 and 1-bit: dequantize in kChunk-wide
   // slices to an on-stack scratch, dot against x.
   constexpr std::size_t kChunk = 128;
   parallel_for(0, rows_, 16, [&](std::size_t rb, std::size_t re) {

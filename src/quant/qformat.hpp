@@ -92,8 +92,8 @@ std::size_t group_count(std::size_t row_len, const QuantSpec& spec);
 /// bytes_per_group = ceil(group_len · packed_bits / 8) bytes, so block g of
 /// row r starts at (r · groups + g) · bytes_per_group. 4-bit codes (also
 /// 3-bit and fp4, stored in nibbles) use the split-nibble order QBlock
-/// documents; 8-bit codes are one byte each; 1/2-bit codes pack
-/// little-endian within the block.
+/// documents; 8-bit codes (also 5..7-bit) are one byte each; 1/2-bit codes
+/// pack little-endian within the block.
 class QuantizedLinear {
  public:
   QuantizedLinear() = default;
@@ -108,14 +108,15 @@ class QuantizedLinear {
   Matrix dequantize() const;
 
   /// Fused dequantize-then-multiply: returns x · Wᵀ_dq for x of shape
-  /// (n × in_features). Affine 4/8-bit codes ride kern::qgemv_multi (each
-  /// row unpacked once per batch); single-row inputs route through
-  /// matvec_transposed.
+  /// (n × in_features). Affine codes of 2 bits and up ride
+  /// kern::qgemv_multi (each row unpacked once per batch); single-row
+  /// inputs route through matvec_transposed.
   Matrix matmul_transposed(const Matrix& x) const;
 
   /// Fused dequantize GEMV: y[r] = Σ_c x[c] · W_dq(r, c), for x of length
   /// in_features and y of length out_features — the per-token decode hot
-  /// path, served by the vectorized kern::qgemv for affine 4/8-bit codes.
+  /// path, served by the vectorized kern::qgemv for affine codes of 2 bits
+  /// and up.
   void matvec_transposed(std::span<const float> x, std::span<float> y) const;
 
   /// Batched matvec for continuous-batching decode: y(i,:) for input row
@@ -128,7 +129,8 @@ class QuantizedLinear {
   void matvec_transposed_batch(const Matrix& x, Matrix& y) const;
 
   /// True when this layer's codes are served by the vectorized blocked
-  /// kernels (int_affine stored as nibbles or bytes: bits 3, 4, 8).
+  /// kernels: int_affine at 2..8 bits (stored as 2-bit quads, nibbles or
+  /// bytes). fp4 and 1-bit layers take the scalar fallback.
   bool has_kernel_path() const;
 
   /// Borrowed kernel view of the blocked storage (has_kernel_path() only).

@@ -36,6 +36,10 @@ constexpr std::size_t kVecLanes = 8;
 constexpr std::size_t kVecLanes = 4;
 #endif
 typedef float vNf __attribute__((vector_size(kVecLanes * sizeof(float))));
+// Code bytes and their i32 widening, for the dequant-dot kernels.
+typedef std::uint8_t vNu8 __attribute__((vector_size(kVecLanes)));
+typedef std::int32_t vNi32
+    __attribute__((vector_size(kVecLanes * sizeof(std::int32_t))));
 // The B panel always spans two vectors: MR×2 = 12 accumulator registers —
 // the full baseline SSE file, and enough independent FMA chains to cover
 // the FMA latency on AVX cores.
@@ -448,8 +452,19 @@ float dot4(const float* a, const float* b, std::size_t n) {
 
 namespace {
 
+// Split-half fold. The 4-bit and 2-bit kernels fold every group as two
+// halves, columns [0, half) and [half, len) with half = ceil(group_len / 2),
+// each half on its own accumulator chain. For 4-bit blocks the halves are
+// the storage order itself (byte t holds column t in its low nibble and
+// column half + t in its high nibble, so half == bytes_per_group). 2-bit
+// blocks store their columns in order, four to a byte; for them the halves
+// are only a fold order, which gives 2-bit the same chain count as 4-bit
+// and lets both widths share the prescaled-panel fold (qdot_row_panel).
+inline std::size_t half_len(const QBlock& q) { return (q.group_len + 1) / 2; }
+
 // Geometry of one group g of a blocked row: `len` valid codes, of which
-// `lo_n` sit in low nibbles / leading bytes and `hi_n` in high nibbles.
+// `lo_n` sit in the low half (at 8 bits: all of them) and `hi_n` in the
+// high half.
 struct GroupShape {
   std::size_t len;
   std::size_t lo_n;
@@ -462,9 +477,115 @@ inline GroupShape group_shape(const QBlock& q, std::size_t g) {
   if (q.bits == 8) {
     return {len, len, 0};
   }
-  const std::size_t lo_n = std::min(len, q.bytes_per_group);
+  const std::size_t lo_n = std::min(len, half_len(q));
   return {len, lo_n, len - lo_n};
 }
+
+// Code of column k in a 2-bit block: four codes per byte, little-endian.
+inline std::uint32_t code2(const std::uint8_t* b, std::size_t k) {
+  return (b[k / 4] >> (2 * (k % 4))) & 3u;
+}
+
+// Code access for the split-half widths, for a group whose code bytes start
+// at b: lo(b, half, t) is the code of column t, hi(b, half, t) the code of
+// column half + t, and widen() yields the kVecLanes codes at both positions
+// as unscaled floats. Every widening is exact (small integers), so a vector
+// lane and a scalar convert of the same code are the same float.
+template <int kBits>
+struct SplitCodes;
+
+template <>
+struct SplitCodes<4> {
+  static std::uint32_t lo(const std::uint8_t* b, std::size_t, std::size_t t) {
+    return b[t] & 0x0Fu;
+  }
+  static std::uint32_t hi(const std::uint8_t* b, std::size_t, std::size_t t) {
+    return static_cast<std::uint32_t>(b[t] >> 4);
+  }
+#ifdef APTQ_KERNEL_VEC_EXT
+  // Both halves share each byte load. Codes widen u8 -> i32 -> f32 in
+  // single-use convert chains, with the nibble mask/shift applied in the u8
+  // domain: GCC folds each chain to pmovzx + cvtdq2ps. A direct u8 -> f32
+  // convertvector, or widening once and reusing the i32 vector for both
+  // nibbles, scalarizes into per-lane pextrb/pinsrd/cvtsi2ss storms under
+  // -march=native.
+  static void widen(const std::uint8_t* b, std::size_t, std::size_t j,
+                    vNf& lo, vNf& hi) {
+    vNu8 bytes;
+    std::memcpy(&bytes, b + j, sizeof bytes);
+    lo = __builtin_convertvector(__builtin_convertvector(bytes & 0x0F, vNi32),
+                                 vNf);
+    hi = __builtin_convertvector(__builtin_convertvector(bytes >> 4, vNi32),
+                                 vNf);
+  }
+#endif
+};
+
+#ifdef APTQ_KERNEL_VEC_EXT
+// Byte -> four 2-bit codes, lowest bits first, as floats. The baseline SSE2
+// target has no per-lane variable shift, so one 16-byte load from this 4 KiB
+// (L1-resident) table is the cheapest exact widening of four columns.
+struct Code2Table {
+  alignas(16) float v[256][4];
+};
+
+constexpr Code2Table make_code2_table() {
+  Code2Table t{};
+  for (int b = 0; b < 256; ++b) {
+    for (int i = 0; i < 4; ++i) {
+      t.v[b][i] = static_cast<float>((b >> (2 * i)) & 3);
+    }
+  }
+  return t;
+}
+
+constexpr Code2Table kCode2 = make_code2_table();
+#endif
+
+template <>
+struct SplitCodes<2> {
+  static std::uint32_t lo(const std::uint8_t* b, std::size_t, std::size_t t) {
+    return code2(b, t);
+  }
+  static std::uint32_t hi(const std::uint8_t* b, std::size_t half,
+                          std::size_t t) {
+    return code2(b, half + t);
+  }
+#ifdef APTQ_KERNEL_VEC_EXT
+  // kVecLanes codes from column k on.
+  static vNf widen_at(const std::uint8_t* b, std::size_t k) {
+    vNf v;
+    if (k % 4 == 0) {
+      for (std::size_t c = 0; c < kVecLanes / 4; ++c) {
+        std::memcpy(reinterpret_cast<char*>(&v) + c * sizeof kCode2.v[0],
+                    kCode2.v[b[k / 4 + c]], sizeof kCode2.v[0]);
+      }
+    } else {
+      // A high half that starts mid-byte: odd group lengths only.
+      for (std::size_t l = 0; l < kVecLanes; ++l) {
+        v[l] = static_cast<float>(code2(b, k + l));
+      }
+    }
+    return v;
+  }
+  static void widen(const std::uint8_t* b, std::size_t half, std::size_t j,
+                    vNf& lo, vNf& hi) {
+    lo = widen_at(b, j);
+    hi = widen_at(b, half + j);
+  }
+#endif
+};
+
+#ifdef APTQ_KERNEL_VEC_EXT
+// True when every full group of a split-half width is two halves of whole
+// vectors: the shape the constant-trip-count fast paths below handle. An
+// odd group_len leaves the high half one column short and takes the
+// generic body instead.
+inline bool split_fast_path(const QBlock& q) {
+  const std::size_t half = half_len(q);
+  return q.bits != 8 && q.group_len == 2 * half && half % kVecLanes == 0;
+}
+#endif
 
 // Fused dequant-dot over one row. `xsum` must hold the per-group sums of x
 // (callers precompute via group_sums; the fold there matches the order an
@@ -489,24 +610,18 @@ inline GroupShape group_shape(const QBlock& q, std::size_t g) {
 //     Group pairs feed disjoint even/odd accumulators, keeping two groups'
 //     FMAs in flight. The accumulators must stay plain locals: indexing a
 //     vNf acc[2] by group parity spills the array to the stack, 2x slower.
-//   * A constant-trip-count fast path for full 4-bit groups. The generic
-//     per-group body re-derives its bounds (group_shape), re-tests the
-//     bit width, and keeps scalar remainder loops alive -- ~20 cycles of
-//     bookkeeping per group against ~6 cycles of vector math. When every
-//     byte of a group is two full nibbles and the byte count is a whole
-//     number of vector loads, all of that folds away.
-float qdot_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
-               const float* bias, const float* x, const float* xsum) {
+//   * A constant-trip-count fast path for full split-half groups. The
+//     generic per-group body re-derives its bounds (group_shape) and keeps
+//     scalar remainder loops alive -- ~20 cycles of bookkeeping per group
+//     against ~6 cycles of vector math. When both halves of a group are a
+//     whole number of vector loads, all of that folds away.
+template <int kBits>
+float qdot_row_impl(const QBlock& q, const std::uint8_t* codes,
+                    const float* scale, const float* bias, const float* x,
+                    const float* xsum) {
   const std::size_t nb = q.bytes_per_group;
+  [[maybe_unused]] const std::size_t half = half_len(q);
 #ifdef APTQ_KERNEL_VEC_EXT
-  typedef std::uint8_t vNu8 __attribute__((vector_size(kVecLanes)));
-  // Codes widen u8 -> i32 -> f32 in single-use convert chains, with the
-  // nibble mask/shift applied in the u8 domain: GCC folds each chain to
-  // pmovzx + cvtdq2ps. A direct u8 -> f32 convertvector, or widening once
-  // and reusing the i32 vector for both nibbles, scalarizes into per-lane
-  // pextrb/pinsrd/cvtsi2ss storms under -march=native.
-  typedef std::int32_t vNi32
-      __attribute__((vector_size(kVecLanes * sizeof(std::int32_t))));
   vNf vlo0 = {};
   vNf vhi0 = {};
   vNf vlo1 = {};
@@ -522,53 +637,47 @@ float qdot_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
   float sb1 = 0.0f;
   std::size_t g = 0;
 #ifdef APTQ_KERNEL_VEC_EXT
-  if (q.bits == 4 && nb % kVecLanes == 0) {
-    // Every group except a ragged tail is full: len == group_len, both
-    // nibble halves span exactly nb bytes.
-    const std::size_t full =
-        q.cols % q.group_len == 0 ? q.groups : q.groups - 1;
-    // kSingleVec specializes the dominant shape (one vector load per
-    // nibble half, e.g. g16 at 8 lanes): the inner j-loop folds to
-    // straight-line code. Same arithmetic, same fold order either way.
-    const auto pair_loop = [&]<bool kSingleVec>() {
-      for (; g + 2 <= full; g += 2) {
-        const std::uint8_t* b0 = codes + g * nb;
-        const std::uint8_t* b1 = b0 + nb;
-        const float* xg0 = x + g * q.group_len;
-        const float* xg1 = xg0 + q.group_len;
-        const vNf dv0 = vNf{} + scale[g];
-        const vNf dv1 = vNf{} + scale[g + 1];
-        for (std::size_t j = 0; j < (kSingleVec ? kVecLanes : nb);
-             j += kVecLanes) {
-          vNu8 bytes0, bytes1;
-          std::memcpy(&bytes0, b0 + j, sizeof bytes0);
-          std::memcpy(&bytes1, b1 + j, sizeof bytes1);
-          vNf xlo0, xhi0, xlo1, xhi1;
-          std::memcpy(&xlo0, xg0 + j, sizeof xlo0);
-          std::memcpy(&xhi0, xg0 + nb + j, sizeof xhi0);
-          std::memcpy(&xlo1, xg1 + j, sizeof xlo1);
-          std::memcpy(&xhi1, xg1 + nb + j, sizeof xhi1);
-          const vNf lo0 = __builtin_convertvector(
-              __builtin_convertvector(bytes0 & 0x0F, vNi32), vNf);
-          const vNf hi0 = __builtin_convertvector(
-              __builtin_convertvector(bytes0 >> 4, vNi32), vNf);
-          const vNf lo1 = __builtin_convertvector(
-              __builtin_convertvector(bytes1 & 0x0F, vNi32), vNf);
-          const vNf hi1 = __builtin_convertvector(
-              __builtin_convertvector(bytes1 >> 4, vNi32), vNf);
-          vlo0 += (dv0 * lo0) * xlo0;
-          vhi0 += (dv0 * hi0) * xhi0;
-          vlo1 += (dv1 * lo1) * xlo1;
-          vhi1 += (dv1 * hi1) * xhi1;
+  if constexpr (kBits != 8) {
+    if (split_fast_path(q)) {
+      // Every group except a ragged tail is full: len == group_len, both
+      // halves span exactly `half` columns.
+      const std::size_t full =
+          q.cols % q.group_len == 0 ? q.groups : q.groups - 1;
+      // kSingleVec specializes the dominant shape (one vector per half,
+      // e.g. g16 at 8 lanes): the inner j-loop folds to straight-line
+      // code. Same arithmetic, same fold order either way.
+      const auto pair_loop = [&]<bool kSingleVec>() {
+        for (; g + 2 <= full; g += 2) {
+          const std::uint8_t* b0 = codes + g * nb;
+          const std::uint8_t* b1 = b0 + nb;
+          const float* xg0 = x + g * q.group_len;
+          const float* xg1 = xg0 + q.group_len;
+          const vNf dv0 = vNf{} + scale[g];
+          const vNf dv1 = vNf{} + scale[g + 1];
+          for (std::size_t j = 0; j < (kSingleVec ? kVecLanes : half);
+               j += kVecLanes) {
+            vNf lo0, hi0, lo1, hi1;
+            SplitCodes<kBits>::widen(b0, half, j, lo0, hi0);
+            SplitCodes<kBits>::widen(b1, half, j, lo1, hi1);
+            vNf xlo0, xhi0, xlo1, xhi1;
+            std::memcpy(&xlo0, xg0 + j, sizeof xlo0);
+            std::memcpy(&xhi0, xg0 + half + j, sizeof xhi0);
+            std::memcpy(&xlo1, xg1 + j, sizeof xlo1);
+            std::memcpy(&xhi1, xg1 + half + j, sizeof xhi1);
+            vlo0 += (dv0 * lo0) * xlo0;
+            vhi0 += (dv0 * hi0) * xhi0;
+            vlo1 += (dv1 * lo1) * xlo1;
+            vhi1 += (dv1 * hi1) * xhi1;
+          }
+          sb0 += bias[g] * xsum[g];
+          sb1 += bias[g + 1] * xsum[g + 1];
         }
-        sb0 += bias[g] * xsum[g];
-        sb1 += bias[g + 1] * xsum[g + 1];
+      };
+      if (half == kVecLanes) {
+        pair_loop.template operator()<true>();
+      } else {
+        pair_loop.template operator()<false>();
       }
-    };
-    if (nb == kVecLanes) {
-      pair_loop.template operator()<true>();
-    } else {
-      pair_loop.template operator()<false>();
     }
   }
 #endif
@@ -583,32 +692,7 @@ float qdot_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
     const float d = scale[gi];
     std::size_t j = 0;
     float s = 0.0f;
-    if (q.bits == 4) {
-#ifdef APTQ_KERNEL_VEC_EXT
-      const vNf dv = vNf{} + d;
-      // Both halves of the split layout share each byte load; x stays
-      // unit-stride for both.
-      for (; j + kVecLanes <= hi_n; j += kVecLanes) {
-        vNu8 bytes;
-        std::memcpy(&bytes, b + j, sizeof bytes);
-        const vNf lo = __builtin_convertvector(
-            __builtin_convertvector(bytes & 0x0F, vNi32), vNf);
-        const vNf hi = __builtin_convertvector(
-            __builtin_convertvector(bytes >> 4, vNi32), vNf);
-        vNf xlo, xhi;
-        std::memcpy(&xlo, xg + j, sizeof xlo);
-        std::memcpy(&xhi, xg + nb + j, sizeof xhi);
-        vlo_acc += (dv * lo) * xlo;
-        vhi_acc += (dv * hi) * xhi;
-      }
-#endif
-      for (std::size_t t = j; t < hi_n; ++t) {
-        s += xg[nb + t] * (d * static_cast<float>(b[t] >> 4));
-      }
-      for (std::size_t t = j; t < lo_n; ++t) {
-        s += xg[t] * (d * static_cast<float>(b[t] & 0x0F));
-      }
-    } else {  // bits == 8: one code per byte, in order
+    if constexpr (kBits == 8) {  // one code per byte, in order
 #ifdef APTQ_KERNEL_VEC_EXT
       const vNf dv = vNf{} + d;
       for (; j + kVecLanes <= len; j += kVecLanes) {
@@ -623,6 +707,27 @@ float qdot_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
 #endif
       for (std::size_t t = j; t < len; ++t) {
         s += xg[t] * (d * static_cast<float>(b[t]));
+      }
+    } else {
+#ifdef APTQ_KERNEL_VEC_EXT
+      const vNf dv = vNf{} + d;
+      for (; j + kVecLanes <= hi_n; j += kVecLanes) {
+        vNf lo, hi;
+        SplitCodes<kBits>::widen(b, half, j, lo, hi);
+        vNf xlo, xhi;
+        std::memcpy(&xlo, xg + j, sizeof xlo);
+        std::memcpy(&xhi, xg + half + j, sizeof xhi);
+        vlo_acc += (dv * lo) * xlo;
+        vhi_acc += (dv * hi) * xhi;
+      }
+#endif
+      for (std::size_t t = j; t < hi_n; ++t) {
+        s += xg[half + t] *
+             (d * static_cast<float>(SplitCodes<kBits>::hi(b, half, t)));
+      }
+      for (std::size_t t = j; t < lo_n; ++t) {
+        s += xg[t] *
+             (d * static_cast<float>(SplitCodes<kBits>::lo(b, half, t)));
       }
     }
     sbacc += s + bias[gi] * xsum[gi];
@@ -644,102 +749,91 @@ float qdot_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
   return sacc;
 }
 
-// Dequantize one blocked row into `w` (length q.cols).
-void unpack_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
-                const float* bias, float* w) {
+float qdot_row(const QBlock& q, const std::uint8_t* codes, const float* scale,
+               const float* bias, const float* x, const float* xsum) {
+  switch (q.bits) {
+    case 2:
+      return qdot_row_impl<2>(q, codes, scale, bias, x, xsum);
+    case 4:
+      return qdot_row_impl<4>(q, codes, scale, bias, x, xsum);
+    default:
+      return qdot_row_impl<8>(q, codes, scale, bias, x, xsum);
+  }
+}
+
+// Widen one blocked row's codes to prescaled floats in x order:
+// cw[pos] = scale[g] * float(code at column pos), resolving the block
+// layout. Code widening is exact and qdot_row's fold multiplies each code
+// by its group scale before touching x, so a stored (scale·code) product
+// is bit-for-bit the float the dequant-dot computes in flight — which is
+// what lets qdot_row_panel below replay qdot_row's fold from this panel
+// with the scale multiply already paid. The group bias stays out of the
+// panel (it rides the xsum term in the dot). `cw` must hold
+// groups·group_len floats (the ragged-tail pad is never read by the dot,
+// but keeping the stride uniform keeps indexing trivial).
+template <int kBits>
+void unpack_codes_row_impl(const QBlock& q, const std::uint8_t* codes,
+                           const float* scale, float* cw) {
   const std::size_t nb = q.bytes_per_group;
-  for (std::size_t g = 0; g < q.groups; ++g) {
+  [[maybe_unused]] const std::size_t half = half_len(q);
+  std::size_t g = 0;
+#ifdef APTQ_KERNEL_VEC_EXT
+  // The unpack is the per-row cost the whole panel design amortizes, so it
+  // must not be the slow part: widen with the same exact vector widening
+  // the in-flight dot uses instead of one scalar convert per weight. The
+  // stored value is the elementwise product scale·float(code) either way,
+  // so this path never changes a panel bit.
+  if constexpr (kBits != 8) {
+    if (split_fast_path(q)) {
+      const std::size_t full =
+          q.cols % q.group_len == 0 ? q.groups : q.groups - 1;
+      for (; g < full; ++g) {
+        const std::uint8_t* b = codes + g * nb;
+        float* wg = cw + g * q.group_len;
+        const vNf dv = vNf{} + scale[g];
+        for (std::size_t j = 0; j < half; j += kVecLanes) {
+          vNf lo, hi;
+          SplitCodes<kBits>::widen(b, half, j, lo, hi);
+          const vNf wlo = dv * lo;
+          const vNf whi = dv * hi;
+          std::memcpy(wg + j, &wlo, sizeof wlo);
+          std::memcpy(wg + half + j, &whi, sizeof whi);
+        }
+      }
+    }
+  }
+#endif
+  // Scalar per-group body: ragged tails, odd geometries, 8-bit.
+  for (; g < q.groups; ++g) {
     const auto [len, lo_n, hi_n] = group_shape(q, g);
     const std::uint8_t* b = codes + g * nb;
-    float* wg = w + g * q.group_len;
+    float* wg = cw + g * q.group_len;
     const float d = scale[g];
-    const float m = bias[g];
-    if (q.bits == 4) {
-      for (std::size_t t = 0; t < lo_n; ++t) {
-        wg[t] = d * static_cast<float>(b[t] & 0x0F) + m;
-      }
-      for (std::size_t t = 0; t < hi_n; ++t) {
-        wg[nb + t] = d * static_cast<float>(b[t] >> 4) + m;
+    if constexpr (kBits == 8) {
+      for (std::size_t t = 0; t < len; ++t) {
+        wg[t] = d * static_cast<float>(b[t]);
       }
     } else {
-      for (std::size_t t = 0; t < len; ++t) {
-        wg[t] = d * static_cast<float>(b[t]) + m;
+      for (std::size_t t = 0; t < lo_n; ++t) {
+        wg[t] = d * static_cast<float>(SplitCodes<kBits>::lo(b, half, t));
+      }
+      for (std::size_t t = 0; t < hi_n; ++t) {
+        wg[half + t] =
+            d * static_cast<float>(SplitCodes<kBits>::hi(b, half, t));
       }
     }
   }
 }
 
-// Widen one blocked row's codes to prescaled floats in x order:
-// cw[pos] = scale[g] * float(code at column pos), resolving the
-// split-nibble layout. u8 -> f32 widening is exact and qdot_row's fold
-// multiplies each code by its group scale before touching x, so a stored
-// (scale·code) product is bit-for-bit the float the dequant-dot computes
-// in flight — which is what lets qdot_row_panel below replay qdot_row's
-// fold from this panel with the scale multiply already paid. The group
-// bias stays out of the panel (it rides the xsum term in the dot).
-// `cw` must hold groups·group_len floats (the ragged-tail pad is never
-// read by the dot, but keeping the stride uniform keeps indexing trivial).
 void unpack_codes_row(const QBlock& q, const std::uint8_t* codes,
                       const float* scale, float* cw) {
-  const std::size_t nb = q.bytes_per_group;
-  // Scalar per-group body: ragged tails and odd geometries. The stored
-  // value is the elementwise product scale·float(code) — the same float
-  // whichever path writes it, so the vector fast path below never changes
-  // a panel bit.
-  const auto scalar_group = [&](std::size_t g) {
-    const auto [len, lo_n, hi_n] = group_shape(q, g);
-    const std::uint8_t* b = codes + g * nb;
-    float* wg = cw + g * q.group_len;
-    const float d = scale[g];
-    if (q.bits == 4) {
-      for (std::size_t t = 0; t < lo_n; ++t) {
-        wg[t] = d * static_cast<float>(b[t] & 0x0F);
-      }
-      for (std::size_t t = 0; t < hi_n; ++t) {
-        wg[nb + t] = d * static_cast<float>(b[t] >> 4);
-      }
-    } else {
-      for (std::size_t t = 0; t < len; ++t) {
-        wg[t] = d * static_cast<float>(b[t]);
-      }
-    }
-  };
-#ifdef APTQ_KERNEL_VEC_EXT
-  // The unpack is the per-row cost the whole panel design amortizes, so it
-  // must not be the slow part: widen with the same u8 -> i32 -> f32
-  // convert chains the in-flight dot uses (pmovzx + cvtdq2ps) instead of
-  // one scalar convert per weight.
-  if (q.bits == 4 && nb % kVecLanes == 0) {
-    typedef std::uint8_t vNu8 __attribute__((vector_size(kVecLanes)));
-    typedef std::int32_t vNi32
-        __attribute__((vector_size(kVecLanes * sizeof(std::int32_t))));
-    const std::size_t full =
-        q.cols % q.group_len == 0 ? q.groups : q.groups - 1;
-    for (std::size_t g = 0; g < full; ++g) {
-      const std::uint8_t* b = codes + g * nb;
-      float* wg = cw + g * q.group_len;
-      const vNf dv = vNf{} + scale[g];
-      for (std::size_t j = 0; j < nb; j += kVecLanes) {
-        vNu8 bytes;
-        std::memcpy(&bytes, b + j, sizeof bytes);
-        const vNf lo = __builtin_convertvector(
-            __builtin_convertvector(bytes & 0x0F, vNi32), vNf);
-        const vNf hi = __builtin_convertvector(
-            __builtin_convertvector(bytes >> 4, vNi32), vNf);
-        const vNf wlo = dv * lo;
-        const vNf whi = dv * hi;
-        std::memcpy(wg + j, &wlo, sizeof wlo);
-        std::memcpy(wg + nb + j, &whi, sizeof whi);
-      }
-    }
-    for (std::size_t g = full; g < q.groups; ++g) {
-      scalar_group(g);
-    }
-    return;
-  }
-#endif
-  for (std::size_t g = 0; g < q.groups; ++g) {
-    scalar_group(g);
+  switch (q.bits) {
+    case 2:
+      return unpack_codes_row_impl<2>(q, codes, scale, cw);
+    case 4:
+      return unpack_codes_row_impl<4>(q, codes, scale, cw);
+    default:
+      return unpack_codes_row_impl<8>(q, codes, scale, cw);
   }
 }
 
@@ -748,14 +842,15 @@ void unpack_codes_row(const QBlock& q, const std::uint8_t* codes,
 // vector/scalar split, same final reduction — every float expression is
 // identical (the stored scale·code products equal the in-flight ones
 // bit-for-bit), so the result is bitwise equal to qdot_row on the same
-// row. The panel loads are unit-stride in x order for both nibble halves,
-// so the batch path pays 4 plain vector loads where the solo path paid
-// byte loads, convert chains, and the per-group scale multiply — per
+// row. The panel is in x order at every width (the 2-bit and 4-bit halves
+// are plain column ranges of it), so the batch path pays 4 plain vector
+// loads where the solo path paid byte loads, code widening, and the
+// per-group scale multiply — per
 // input the dot is down to one multiply and one add per vector, which is
 // most of the batched-decode speedup.
 float qdot_row_panel(const QBlock& q, const float* cw, const float* bias,
                      const float* x, const float* xsum) {
-  const std::size_t nb = q.bytes_per_group;
+  const std::size_t half = half_len(q);
 #ifdef APTQ_KERNEL_VEC_EXT
   vNf vlo0 = {};
   vNf vhi0 = {};
@@ -772,7 +867,7 @@ float qdot_row_panel(const QBlock& q, const float* cw, const float* bias,
   float sb1 = 0.0f;
   std::size_t g = 0;
 #ifdef APTQ_KERNEL_VEC_EXT
-  if (q.bits == 4 && nb % kVecLanes == 0) {
+  if (split_fast_path(q)) {
     const std::size_t full =
         q.cols % q.group_len == 0 ? q.groups : q.groups - 1;
     const auto pair_loop = [&]<bool kSingleVec>() {
@@ -781,18 +876,18 @@ float qdot_row_panel(const QBlock& q, const float* cw, const float* bias,
         const float* cw1 = cw0 + q.group_len;
         const float* xg0 = x + g * q.group_len;
         const float* xg1 = xg0 + q.group_len;
-        for (std::size_t j = 0; j < (kSingleVec ? kVecLanes : nb);
+        for (std::size_t j = 0; j < (kSingleVec ? kVecLanes : half);
              j += kVecLanes) {
           vNf lo0, hi0, lo1, hi1;
           std::memcpy(&lo0, cw0 + j, sizeof lo0);
-          std::memcpy(&hi0, cw0 + nb + j, sizeof hi0);
+          std::memcpy(&hi0, cw0 + half + j, sizeof hi0);
           std::memcpy(&lo1, cw1 + j, sizeof lo1);
-          std::memcpy(&hi1, cw1 + nb + j, sizeof hi1);
+          std::memcpy(&hi1, cw1 + half + j, sizeof hi1);
           vNf xlo0, xhi0, xlo1, xhi1;
           std::memcpy(&xlo0, xg0 + j, sizeof xlo0);
-          std::memcpy(&xhi0, xg0 + nb + j, sizeof xhi0);
+          std::memcpy(&xhi0, xg0 + half + j, sizeof xhi0);
           std::memcpy(&xlo1, xg1 + j, sizeof xlo1);
-          std::memcpy(&xhi1, xg1 + nb + j, sizeof xhi1);
+          std::memcpy(&xhi1, xg1 + half + j, sizeof xhi1);
           vlo0 += lo0 * xlo0;
           vhi0 += hi0 * xhi0;
           vlo1 += lo1 * xlo1;
@@ -802,7 +897,7 @@ float qdot_row_panel(const QBlock& q, const float* cw, const float* bias,
         sb1 += bias[g + 1] * xsum[g + 1];
       }
     };
-    if (nb == kVecLanes) {
+    if (half == kVecLanes) {
       pair_loop.template operator()<true>();
     } else {
       pair_loop.template operator()<false>();
@@ -816,21 +911,21 @@ float qdot_row_panel(const QBlock& q, const float* cw, const float* bias,
     const float* xg = x + gi * q.group_len;
     std::size_t j = 0;
     float s = 0.0f;
-    if (q.bits == 4) {
+    if (q.bits != 8) {
 #ifdef APTQ_KERNEL_VEC_EXT
       for (; j + kVecLanes <= hi_n; j += kVecLanes) {
         vNf lo, hi;
         std::memcpy(&lo, cwg + j, sizeof lo);
-        std::memcpy(&hi, cwg + nb + j, sizeof hi);
+        std::memcpy(&hi, cwg + half + j, sizeof hi);
         vNf xlo, xhi;
         std::memcpy(&xlo, xg + j, sizeof xlo);
-        std::memcpy(&xhi, xg + nb + j, sizeof xhi);
+        std::memcpy(&xhi, xg + half + j, sizeof xhi);
         vlo_acc += lo * xlo;
         vhi_acc += hi * xhi;
       }
 #endif
       for (std::size_t t = j; t < hi_n; ++t) {
-        s += xg[nb + t] * cwg[nb + t];
+        s += xg[half + t] * cwg[half + t];
       }
       for (std::size_t t = j; t < lo_n; ++t) {
         s += xg[t] * cwg[t];
@@ -880,7 +975,7 @@ float qdot_row_panel(const QBlock& q, const float* cw, const float* bias,
 void qdot_row_panel2(const QBlock& q, const float* cw, const float* bias,
                      const float* xa, const float* xsa, const float* xb,
                      const float* xsb, float* ya, float* yb) {
-  const std::size_t nb = q.bytes_per_group;
+  const std::size_t half = half_len(q);
 #ifdef APTQ_KERNEL_VEC_EXT
   vNf alo0 = {}, ahi0 = {}, alo1 = {}, ahi1 = {};
   vNf blo0 = {}, bhi0 = {}, blo1 = {}, bhi1 = {};
@@ -900,7 +995,7 @@ void qdot_row_panel2(const QBlock& q, const float* cw, const float* bias,
   float sb0 = 0.0f, sb1 = 0.0f;
   std::size_t g = 0;
 #ifdef APTQ_KERNEL_VEC_EXT
-  if (q.bits == 4 && nb % kVecLanes == 0) {
+  if (split_fast_path(q)) {
     const std::size_t full =
         q.cols % q.group_len == 0 ? q.groups : q.groups - 1;
     const auto pair_loop = [&]<bool kSingleVec>() {
@@ -911,26 +1006,26 @@ void qdot_row_panel2(const QBlock& q, const float* cw, const float* bias,
         const float* xa1 = xa0 + q.group_len;
         const float* xb0 = xb + g * q.group_len;
         const float* xb1 = xb0 + q.group_len;
-        for (std::size_t j = 0; j < (kSingleVec ? kVecLanes : nb);
+        for (std::size_t j = 0; j < (kSingleVec ? kVecLanes : half);
              j += kVecLanes) {
           vNf lo0, hi0, lo1, hi1;
           std::memcpy(&lo0, cw0 + j, sizeof lo0);
-          std::memcpy(&hi0, cw0 + nb + j, sizeof hi0);
+          std::memcpy(&hi0, cw0 + half + j, sizeof hi0);
           std::memcpy(&lo1, cw1 + j, sizeof lo1);
-          std::memcpy(&hi1, cw1 + nb + j, sizeof hi1);
+          std::memcpy(&hi1, cw1 + half + j, sizeof hi1);
           vNf v0, v1, v2, v3;
           std::memcpy(&v0, xa0 + j, sizeof v0);
-          std::memcpy(&v1, xa0 + nb + j, sizeof v1);
+          std::memcpy(&v1, xa0 + half + j, sizeof v1);
           std::memcpy(&v2, xa1 + j, sizeof v2);
-          std::memcpy(&v3, xa1 + nb + j, sizeof v3);
+          std::memcpy(&v3, xa1 + half + j, sizeof v3);
           alo0 += lo0 * v0;
           ahi0 += hi0 * v1;
           alo1 += lo1 * v2;
           ahi1 += hi1 * v3;
           std::memcpy(&v0, xb0 + j, sizeof v0);
-          std::memcpy(&v1, xb0 + nb + j, sizeof v1);
+          std::memcpy(&v1, xb0 + half + j, sizeof v1);
           std::memcpy(&v2, xb1 + j, sizeof v2);
-          std::memcpy(&v3, xb1 + nb + j, sizeof v3);
+          std::memcpy(&v3, xb1 + half + j, sizeof v3);
           blo0 += lo0 * v0;
           bhi0 += hi0 * v1;
           blo1 += lo1 * v2;
@@ -942,7 +1037,7 @@ void qdot_row_panel2(const QBlock& q, const float* cw, const float* bias,
         sb1 += bias[g + 1] * xsb[g + 1];
       }
     };
-    if (nb == kVecLanes) {
+    if (half == kVecLanes) {
       pair_loop.template operator()<true>();
     } else {
       pair_loop.template operator()<false>();
@@ -959,21 +1054,21 @@ void qdot_row_panel2(const QBlock& q, const float* cw, const float* bias,
     const float* xg = x + gi * q.group_len;
     std::size_t j = 0;
     float s = 0.0f;
-    if (q.bits == 4) {
+    if (q.bits != 8) {
 #ifdef APTQ_KERNEL_VEC_EXT
       for (; j + kVecLanes <= hi_n; j += kVecLanes) {
         vNf lo, hi;
         std::memcpy(&lo, cwg + j, sizeof lo);
-        std::memcpy(&hi, cwg + nb + j, sizeof hi);
+        std::memcpy(&hi, cwg + half + j, sizeof hi);
         vNf xlo, xhi;
         std::memcpy(&xlo, xg + j, sizeof xlo);
-        std::memcpy(&xhi, xg + nb + j, sizeof xhi);
+        std::memcpy(&xhi, xg + half + j, sizeof xhi);
         vlo_acc += lo * xlo;
         vhi_acc += hi * xhi;
       }
 #endif
       for (std::size_t t = j; t < hi_n; ++t) {
-        s += xg[nb + t] * cwg[nb + t];
+        s += xg[half + t] * cwg[half + t];
       }
       for (std::size_t t = j; t < lo_n; ++t) {
         s += xg[t] * cwg[t];
@@ -1346,6 +1441,8 @@ void qgemv(const QBlock& q, const float* x, float* y) {
       std::uint32_t code;
       if (q.bits == 8) {
         code = b[k];
+      } else if (q.bits == 2) {
+        code = (b[k / 4] >> (2 * (k % 4))) & 3u;
       } else {
         code = k < q.bytes_per_group ? (b[k] & 0x0Fu)
                                      : static_cast<std::uint32_t>(

@@ -46,9 +46,11 @@ void gemm_tiled(const Matrix& a, Trans trans_a, const Matrix& b,
 /// Code order inside a 4-bit block follows the llama.cpp Q4 split: byte j
 /// holds code j in its low nibble and code j + bytes_per_group in its high
 /// nibble, so the dequant-dot kernels read x contiguously for both halves.
-/// 8-bit blocks store one code per byte in order. A short tail group (cols
-/// not a multiple of group_len) zero-pads its unused code slots; blocks are
-/// always byte-aligned at stride bytes_per_group.
+/// 2-bit blocks hold four codes per byte in order, little-endian (code j in
+/// bits 2·(j%4) of byte j/4); 8-bit blocks store one code per byte in
+/// order. A short tail group (cols not a multiple of group_len) zero-pads
+/// its unused code slots; blocks are always byte-aligned at stride
+/// bytes_per_group.
 struct QBlock {
   const std::uint8_t* codes = nullptr;  // rows × groups × bytes_per_group
   const float* scale = nullptr;         // rows × groups
@@ -58,7 +60,7 @@ struct QBlock {
   std::size_t group_len = 0;        // codes per full group
   std::size_t groups = 0;           // groups per row
   std::size_t bytes_per_group = 0;  // ceil(group_len · bits / 8)
-  int bits = 4;                     // packed code width: 4 or 8
+  int bits = 4;                     // packed code width: 2, 4 or 8
 };
 
 /// SYRK fast path for Hessian accumulation: upper(C) += alpha · Xᵀ·diag(γ)·X
@@ -115,7 +117,7 @@ inline int nearest_int(float v) {
 /// Fused dequant-dot of one blocked row against x (length q.cols):
 /// Σ_g scale_g · Σ_c x[c]·code[c] + bias_g · xsum[g]. `xsum` holds the
 /// per-group sums of x; pass nullptr to fold them on the fly (slower).
-/// Vectorized nibble unpack + FMA; one horizontal reduction per row.
+/// Vectorized code widening + FMA; one horizontal reduction per row.
 float qdot(const QBlock& q, std::size_t row, const float* x,
            const float* xsum);
 
@@ -134,11 +136,11 @@ void qgemv_multi(const QBlock& q, const float* x, std::size_t n, float* y);
 
 /// Batched fused dequant-dot: Y(n × rows) = X(n × cols) · Q_dqᵀ where every
 /// output element uses exactly qgemv's per-row fold — the codes of each
-/// weight row are widened to float once per batch (u8→i32→f32 is exact, so
-/// a preconverted code participates in the same float expressions as a
+/// weight row are widened to float once per batch (code widening is exact,
+/// so a preconverted code participates in the same float expressions as a
 /// just-converted one) and the per-group accumulation then replays the
 /// qdot fold per input. Row i of Y is bitwise identical to
-/// qgemv(X row i) at any batch size and thread count, while the nibble
+/// qgemv(X row i) at any batch size and thread count, while the code
 /// unpack and the code-byte streaming are paid once per row per batch —
 /// this is the packed kernel under batched decode.
 void qgemv_batch(const QBlock& q, const float* x, std::size_t n, float* y);

@@ -13,6 +13,7 @@
 #include "model/sampler.hpp"
 #include "quant/packed_model.hpp"
 #include "util/threadpool.hpp"
+#include "packed_fixtures.hpp"
 
 namespace aptq {
 namespace {
@@ -182,9 +183,7 @@ TEST_P(BatchedDecode, DenseRowsBitwiseMatchSoloSteps) {
   }
 }
 
-TEST_P(BatchedDecode, PackedRowsBitwiseMatchSoloSteps) {
-  const Model m = Model::init(test_config(), 32);
-  const PackedModel pm = packed_for(m);
+void expect_packed_batch_matches_solo(const PackedModel& pm) {
   const std::size_t n = 3, max_ctx = 20, steps = 4;
   std::vector<DecodeState> solo;
   std::vector<DecodeState> batched;
@@ -218,6 +217,16 @@ TEST_P(BatchedDecode, PackedRowsBitwiseMatchSoloSteps) {
       }
     }
   }
+}
+
+TEST_P(BatchedDecode, PackedRowsBitwiseMatchSoloSteps) {
+  expect_packed_batch_matches_solo(
+      packed_for(Model::init(test_config(), 32)));
+}
+
+TEST_P(BatchedDecode, MixedPackedRowsBitwiseMatchSoloSteps) {
+  expect_packed_batch_matches_solo(
+      mixed_2_4_packed(Model::init(test_config(), 32)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BatchedDecode,

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 
 #include "core/pipeline.hpp"
 #include "model/backward.hpp"
@@ -16,6 +14,7 @@
 #include "tensor/ops.hpp"
 #include "train/loss.hpp"
 #include "train/trainer.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -154,15 +153,13 @@ TEST(GqaDecoder, MatchesFullForward) {
 
 TEST(GqaCheckpoint, RoundTripsWithKvHeads) {
   const Model m = Model::init(gqa_config(), 10);
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            "aptq_gqa_ckpt.bin").string();
-  save_checkpoint(m, path);
-  const Model loaded = load_checkpoint(path);
+  const ScopedTempFile file("aptq_gqa_ckpt");
+  save_checkpoint(m, file.path());
+  const Model loaded = load_checkpoint(file.path());
   EXPECT_EQ(loaded.config.n_kv_heads, 2u);
   EXPECT_TRUE(loaded.blocks[0].wk == m.blocks[0].wk);
   const TokenSeq tokens = tokens_for(6, 11);
   EXPECT_TRUE(model_forward(m, tokens) == model_forward(loaded, tokens));
-  std::remove(path.c_str());
 }
 
 TEST(GqaTraining, LearnsOnGqaArchitecture) {

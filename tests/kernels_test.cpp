@@ -308,7 +308,7 @@ TEST_P(QuantizedGemvOracle, MatchesNaiveDequantDotOnOddShapes) {
 
 INSTANTIATE_TEST_SUITE_P(
     WidthsAndGroups, QuantizedGemvOracle,
-    ::testing::Combine(::testing::Values(3, 4, 8),
+    ::testing::Combine(::testing::Values(2, 3, 4, 8),
                        ::testing::Values(std::size_t{8}, std::size_t{16},
                                          std::size_t{32})));
 
@@ -334,21 +334,25 @@ TEST(QuantizedGemv, BitwiseIdenticalAtAnyThreadCount) {
   const std::size_t rows = 29, cols = 140;
   const Matrix w = random_matrix(rows, cols, 203);
   const Matrix x = random_matrix(4, cols, 204);
-  const QuantizedLinear packed(w, qspec(4, 16));
-  const QBlock q = packed.block_view();
-  std::vector<float> base_gemv(rows), base_multi(4 * rows);
-  ThreadPool::set_global_threads(1);
-  kern::qgemv(q, x.data(), base_gemv.data());
-  std::fill(base_multi.begin(), base_multi.end(), 0.0f);
-  kern::qgemv_multi(q, x.data(), 4, base_multi.data());
-  for (const std::size_t threads : {2ul, 4ul}) {
-    ThreadPool::set_global_threads(threads);
-    std::vector<float> y(rows, -7.0f);
-    kern::qgemv(q, x.data(), y.data());
-    EXPECT_EQ(y, base_gemv) << threads << " threads";
-    std::vector<float> ym(4 * rows, 0.0f);
-    kern::qgemv_multi(q, x.data(), 4, ym.data());
-    EXPECT_EQ(ym, base_multi) << threads << " threads";
+  for (const int bits : {2, 4}) {
+    const QuantizedLinear packed(w, qspec(bits, 16));
+    const QBlock q = packed.block_view();
+    std::vector<float> base_gemv(rows), base_multi(4 * rows);
+    ThreadPool::set_global_threads(1);
+    kern::qgemv(q, x.data(), base_gemv.data());
+    std::fill(base_multi.begin(), base_multi.end(), 0.0f);
+    kern::qgemv_multi(q, x.data(), 4, base_multi.data());
+    for (const std::size_t threads : {2ul, 4ul}) {
+      ThreadPool::set_global_threads(threads);
+      std::vector<float> y(rows, -7.0f);
+      kern::qgemv(q, x.data(), y.data());
+      EXPECT_EQ(y, base_gemv) << "bits=" << bits << " " << threads
+                              << " threads";
+      std::vector<float> ym(4 * rows, 0.0f);
+      kern::qgemv_multi(q, x.data(), 4, ym.data());
+      EXPECT_EQ(ym, base_multi) << "bits=" << bits << " " << threads
+                                << " threads";
+    }
   }
   ThreadPool::set_global_threads(1);
 }
@@ -436,23 +440,55 @@ TEST_P(QuantizedGemvBatchBitwise, EveryRowBitwiseMatchesSoloQgemv) {
 
 INSTANTIATE_TEST_SUITE_P(
     WidthsAndGroups, QuantizedGemvBatchBitwise,
-    ::testing::Combine(::testing::Values(4, 8),
+    ::testing::Combine(::testing::Values(2, 4, 8),
                        ::testing::Values(std::size_t{8}, std::size_t{16})));
+
+// Odd group lengths leave the split-half fold's high half one column short
+// (and, at 2 bits, starting mid-byte), so they take the generic per-group
+// body on both the solo and the panel side; the two must still agree
+// bitwise, and stay within tolerance of the oracle.
+TEST(QuantizedGemvBatch, OddGroupLengthsMatchSoloBitwise) {
+  for (const int bits : {2, 4}) {
+    for (const std::size_t group : {5ul, 7ul, 10ul, 13ul}) {
+      const std::size_t rows = 6, cols = 4 * group;
+      const Matrix w = random_matrix(rows, cols, 421 + group);
+      const QuantizedLinear packed(w, qspec(bits, group));
+      const QBlock q = packed.block_view();
+      const std::size_t batch = 3;
+      const Matrix x = random_matrix(batch, cols, 422 + group);
+      std::vector<float> y_batch(batch * rows, 0.0f);
+      kern::qgemv_batch(q, x.data(), batch, y_batch.data());
+      for (std::size_t i = 0; i < batch; ++i) {
+        std::vector<float> y_solo(rows), want(rows);
+        kern::qgemv(q, x.data() + i * cols, y_solo.data());
+        ref::qgemv(q, x.data() + i * cols, want.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+          ASSERT_EQ(y_batch[i * rows + r], y_solo[r])
+              << "bits=" << bits << " group=" << group << " request=" << i
+              << " row=" << r;
+          EXPECT_NEAR(y_solo[r], want[r], qdot_tol(cols));
+        }
+      }
+    }
+  }
+}
 
 TEST(QuantizedGemvBatch, BitwiseIdenticalAtAnyThreadCount) {
   const std::size_t rows = 37, cols = 96, batch = 5;
   const Matrix w = random_matrix(rows, cols, 411);
   const Matrix x = random_matrix(batch, cols, 412);
-  const QuantizedLinear packed(w, qspec(4, 16));
-  const QBlock q = packed.block_view();
-  ThreadPool::set_global_threads(1);
-  std::vector<float> base(batch * rows, 0.0f);
-  kern::qgemv_batch(q, x.data(), batch, base.data());
-  for (const std::size_t threads : {2ul, 4ul}) {
-    ThreadPool::set_global_threads(threads);
-    std::vector<float> y(batch * rows, 0.0f);
-    kern::qgemv_batch(q, x.data(), batch, y.data());
-    EXPECT_EQ(y, base) << threads << " threads";
+  for (const int bits : {2, 4}) {
+    const QuantizedLinear packed(w, qspec(bits, 16));
+    const QBlock q = packed.block_view();
+    ThreadPool::set_global_threads(1);
+    std::vector<float> base(batch * rows, 0.0f);
+    kern::qgemv_batch(q, x.data(), batch, base.data());
+    for (const std::size_t threads : {2ul, 4ul}) {
+      ThreadPool::set_global_threads(threads);
+      std::vector<float> y(batch * rows, 0.0f);
+      kern::qgemv_batch(q, x.data(), batch, y.data());
+      EXPECT_EQ(y, base) << "bits=" << bits << " " << threads << " threads";
+    }
   }
   ThreadPool::set_global_threads(1);
 }
@@ -463,7 +499,7 @@ TEST(QuantizedGemv, XsumPrecomputationDoesNotChangeAnyBit) {
   const std::size_t rows = 9, cols = 100;
   const Matrix w = random_matrix(rows, cols, 205);
   const Matrix x = random_matrix(1, cols, 206);
-  for (const int bits : {4, 8}) {
+  for (const int bits : {2, 4, 8}) {
     const QuantizedLinear packed(w, qspec(bits, 16));
     const QBlock q = packed.block_view();
     std::vector<float> y(rows);

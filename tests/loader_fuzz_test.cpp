@@ -9,13 +9,13 @@
 // memory-safety check of the whole deserialization path.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "quant/packed_model.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -30,19 +30,15 @@ ModelConfig small_config() {
   return c;
 }
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string save_packed_fixture(const char* name) {
+ScopedTempFile save_packed_fixture(const char* stem) {
   const Model m = Model::init(small_config(), 11);
   QuantSpec spec;
   spec.bits = 4;
   spec.group_size = 4;
   const PackedModel pm = PackedModel::pack_uniform(m, spec);
-  const std::string path = temp_path(name);
-  pm.save(path);
-  return path;
+  ScopedTempFile file(stem);
+  pm.save(file.path());
+  return file;
 }
 
 std::vector<std::uint8_t> read_all(const std::string& path) {
@@ -71,16 +67,18 @@ bool load_throws_error(const std::string& path) {
 }
 
 TEST(LoaderFuzz, IntactFileLoads) {
-  const std::string path = save_packed_fixture("aptq_fuzz_intact.bin");
+  const ScopedTempFile path_file = save_packed_fixture("aptq_fuzz_intact");
+  const std::string& path = path_file.path();
   EXPECT_FALSE(load_throws_error(path));
-  std::remove(path.c_str());
 }
 
 TEST(LoaderFuzz, EveryTruncationThrowsError) {
-  const std::string path = save_packed_fixture("aptq_fuzz_trunc_src.bin");
+  const ScopedTempFile path_file = save_packed_fixture("aptq_fuzz_trunc_src");
+  const std::string& path = path_file.path();
   const std::vector<std::uint8_t> bytes = read_all(path);
   ASSERT_GT(bytes.size(), 64u);
-  const std::string cut = temp_path("aptq_fuzz_trunc.bin");
+  const ScopedTempFile cut_file("aptq_fuzz_trunc");
+  const std::string& cut = cut_file.path();
   // Every header byte boundary, then a coarse sweep through the payload,
   // then the off-by-one tail.
   std::vector<std::size_t> lengths;
@@ -95,14 +93,14 @@ TEST(LoaderFuzz, EveryTruncationThrowsError) {
     write_all(cut, {bytes.begin(), bytes.begin() + n});
     EXPECT_TRUE(load_throws_error(cut)) << "truncated to " << n << " bytes";
   }
-  std::remove(path.c_str());
-  std::remove(cut.c_str());
 }
 
 TEST(LoaderFuzz, EveryHeaderBitFlipThrowsOrLoads) {
-  const std::string path = save_packed_fixture("aptq_fuzz_hdr_src.bin");
+  const ScopedTempFile path_file = save_packed_fixture("aptq_fuzz_hdr_src");
+  const std::string& path = path_file.path();
   const std::vector<std::uint8_t> bytes = read_all(path);
-  const std::string flipped = temp_path("aptq_fuzz_hdr.bin");
+  const ScopedTempFile flipped_file("aptq_fuzz_hdr");
+  const std::string& flipped = flipped_file.path();
   // Magic, version, the six config u64s, rope/eps: first 64 bytes.
   std::size_t threw = 0;
   for (std::size_t byte = 0; byte < 64 && byte < bytes.size(); ++byte) {
@@ -117,14 +115,14 @@ TEST(LoaderFuzz, EveryHeaderBitFlipThrowsOrLoads) {
   }
   // Magic and version flips alone guarantee rejections happened.
   EXPECT_GE(threw, 64u);
-  std::remove(path.c_str());
-  std::remove(flipped.c_str());
 }
 
 TEST(LoaderFuzz, RandomBitFlipsAnywhereNeverCrash) {
-  const std::string path = save_packed_fixture("aptq_fuzz_rand_src.bin");
+  const ScopedTempFile path_file = save_packed_fixture("aptq_fuzz_rand_src");
+  const std::string& path = path_file.path();
   const std::vector<std::uint8_t> bytes = read_all(path);
-  const std::string flipped = temp_path("aptq_fuzz_rand.bin");
+  const ScopedTempFile flipped_file("aptq_fuzz_rand");
+  const std::string& flipped = flipped_file.path();
   Rng rng(2024);
   for (int iter = 0; iter < 200; ++iter) {
     std::vector<std::uint8_t> mutated = bytes;
@@ -138,8 +136,6 @@ TEST(LoaderFuzz, RandomBitFlipsAnywhereNeverCrash) {
     // escapes load_throws_error and fails the test.
     (void)load_throws_error(flipped);
   }
-  std::remove(path.c_str());
-  std::remove(flipped.c_str());
 }
 
 TEST(LoaderFuzz, OutOfRangeFormatCodeRejected) {
@@ -148,7 +144,8 @@ TEST(LoaderFuzz, OutOfRangeFormatCodeRejected) {
   QuantSpec spec;
   spec.bits = 4;
   spec.group_size = 4;
-  const std::string path = temp_path("aptq_fuzz_format.bin");
+  const ScopedTempFile path_file("aptq_fuzz_format");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     QuantizedLinear(w, spec).serialize(writer);
@@ -164,7 +161,6 @@ TEST(LoaderFuzz, OutOfRangeFormatCodeRejected) {
     EXPECT_THROW(QuantizedLinear::deserialize(reader), Error)
         << "format code " << static_cast<int>(code);
   }
-  std::remove(path.c_str());
 }
 
 // ---- format v3 specifics ---------------------------------------------------
@@ -178,7 +174,8 @@ TEST(LoaderFuzz, BadGroupSizeRejected) {
   QuantSpec spec;
   spec.bits = 4;
   spec.group_size = 4;
-  const std::string path = temp_path("aptq_fuzz_group.bin");
+  const ScopedTempFile path_file("aptq_fuzz_group");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     QuantizedLinear(w, spec).serialize(writer);
@@ -197,7 +194,6 @@ TEST(LoaderFuzz, BadGroupSizeRejected) {
     EXPECT_THROW(QuantizedLinear::deserialize(reader), Error)
         << "group_size " << bad;
   }
-  std::remove(path.c_str());
 }
 
 // Truncating inside the group-parameter array (the trailing scale/zero
@@ -208,7 +204,8 @@ TEST(LoaderFuzz, TruncatedGroupScaleArrayThrows) {
   QuantSpec spec;
   spec.bits = 4;
   spec.group_size = 4;  // 6 rows × 4 groups × 8 bytes of params at the tail
-  const std::string path = temp_path("aptq_fuzz_params.bin");
+  const ScopedTempFile path_file("aptq_fuzz_params");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     QuantizedLinear(w, spec).serialize(writer);
@@ -223,7 +220,6 @@ TEST(LoaderFuzz, TruncatedGroupScaleArrayThrows) {
     EXPECT_THROW(QuantizedLinear::deserialize(reader), Error)
         << "cut " << cut << " bytes";
   }
-  std::remove(path.c_str());
 }
 
 // The committed v2 fixture (written by the pre-blocked code at packed file
@@ -247,17 +243,18 @@ TEST(LoaderFuzz, CommittedV2FixtureLoadsByteCorrectly) {
   }
   EXPECT_TRUE(loaded.config() == fresh.config());
   // And the v2-loaded model re-saves as a valid v3 file.
-  const std::string resaved = temp_path("aptq_fuzz_v2_resave.bin");
+  const ScopedTempFile resaved_file("aptq_fuzz_v2_resave");
+  const std::string& resaved = resaved_file.path();
   loaded.save(resaved);
   const PackedModel round = PackedModel::load(resaved);
   for (std::size_t i = 0; i < fresh.linears().size(); ++i) {
     EXPECT_TRUE(round.linears()[i] == fresh.linears()[i]);
   }
-  std::remove(resaved.c_str());
 }
 
 TEST(LoaderFuzz, GiantLengthFieldFailsBeforeAllocating) {
-  const std::string path = temp_path("aptq_fuzz_len.bin");
+  const ScopedTempFile path_file("aptq_fuzz_len");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     writer.write_u64(std::uint64_t{1} << 60);  // claims 2^60 elements
@@ -271,7 +268,6 @@ TEST(LoaderFuzz, GiantLengthFieldFailsBeforeAllocating) {
     // The length check fires on the file size, before any allocation.
     EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

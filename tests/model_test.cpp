@@ -4,14 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "model/backward.hpp"
 #include "model/forward.hpp"
 #include "model/model.hpp"
 #include "tensor/ops.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -229,9 +228,8 @@ TEST(HeadSlicing, ExtractAccumulateRoundTrip) {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "aptq_ckpt_test.bin").string();
-  void TearDown() override { std::remove(path_.c_str()); }
+  const ScopedTempFile file_{"aptq_ckpt_test"};
+  const std::string& path_ = file_.path();
 };
 
 TEST_F(CheckpointTest, RoundTripsExactly) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -12,6 +11,7 @@
 #include "model/forward.hpp"
 #include "quant/packed_model.hpp"
 #include "tensor/ops.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -35,10 +35,6 @@ TokenSeq tokens_for(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(QuantizedLinearIo, SerializeRoundTrips) {
   Rng rng(1);
   const Matrix w = Matrix::randn(6, 20, rng);
@@ -46,7 +42,8 @@ TEST(QuantizedLinearIo, SerializeRoundTrips) {
   spec.bits = 3;
   spec.group_size = 8;
   const QuantizedLinear original(w, spec);
-  const std::string path = temp_path("aptq_qlin_test.bin");
+  const ScopedTempFile path_file("aptq_qlin_test");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     original.serialize(writer);
@@ -55,7 +52,6 @@ TEST(QuantizedLinearIo, SerializeRoundTrips) {
   const QuantizedLinear loaded = QuantizedLinear::deserialize(reader);
   EXPECT_TRUE(loaded == original);
   EXPECT_TRUE(loaded.dequantize() == original.dequantize());
-  std::remove(path.c_str());
 }
 
 TEST(QuantizedLinearIo, DetectsCorruption) {
@@ -64,7 +60,8 @@ TEST(QuantizedLinearIo, DetectsCorruption) {
   QuantSpec spec;
   spec.bits = 4;
   spec.group_size = 4;
-  const std::string path = temp_path("aptq_qlin_corrupt.bin");
+  const ScopedTempFile path_file("aptq_qlin_corrupt");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     QuantizedLinear(w, spec).serialize(writer);
@@ -73,7 +70,6 @@ TEST(QuantizedLinearIo, DetectsCorruption) {
   std::filesystem::resize_file(path, 24);
   BinaryReader reader(path);
   EXPECT_THROW(QuantizedLinear::deserialize(reader), Error);
-  std::remove(path.c_str());
 }
 
 TEST(QuantizedLinearIo, PreservesClipSearchFlag) {
@@ -84,7 +80,8 @@ TEST(QuantizedLinearIo, PreservesClipSearchFlag) {
   spec.group_size = 8;
   spec.mse_clip_search = true;
   const QuantizedLinear original(w, spec);
-  const std::string path = temp_path("aptq_qlin_clip.bin");
+  const ScopedTempFile path_file("aptq_qlin_clip");
+  const std::string& path = path_file.path();
   {
     BinaryWriter writer(path);
     original.serialize(writer);
@@ -93,11 +90,11 @@ TEST(QuantizedLinearIo, PreservesClipSearchFlag) {
   const QuantizedLinear loaded = QuantizedLinear::deserialize(reader);
   EXPECT_TRUE(loaded.spec().mse_clip_search);
   EXPECT_TRUE(loaded == original);
-  std::remove(path.c_str());
 }
 
 TEST(QuantizedLinearIo, RejectsUnknownFormatCode) {
-  const std::string path = temp_path("aptq_qlin_badformat.bin");
+  const ScopedTempFile path_file("aptq_qlin_badformat");
+  const std::string& path = path_file.path();
   {
     // Header prefix as serialize() writes it, with an undefined format code.
     BinaryWriter writer(path);
@@ -107,7 +104,6 @@ TEST(QuantizedLinearIo, RejectsUnknownFormatCode) {
   }
   BinaryReader reader(path);
   EXPECT_THROW(QuantizedLinear::deserialize(reader), Error);
-  std::remove(path.c_str());
 }
 
 TEST(PackedModel, UniformPackUnpackPreservesQuantizedWeights) {
@@ -220,7 +216,8 @@ TEST(PackedModel, SaveLoadRoundTrip) {
   spec.bits = 4;
   spec.group_size = 4;
   const PackedModel pm = PackedModel::pack_uniform(m, spec);
-  const std::string path = temp_path("aptq_packed_test.bin");
+  const ScopedTempFile path_file("aptq_packed_test");
+  const std::string& path = path_file.path();
   pm.save(path);
   const PackedModel loaded = PackedModel::load(path);
   EXPECT_TRUE(loaded.config() == pm.config());
@@ -228,18 +225,17 @@ TEST(PackedModel, SaveLoadRoundTrip) {
   const Matrix a = pm.forward(tokens);
   const Matrix b = loaded.forward(tokens);
   EXPECT_TRUE(a == b);
-  std::remove(path.c_str());
 }
 
 TEST(PackedModel, LoadRejectsBadMagic) {
-  const std::string path = temp_path("aptq_packed_bad.bin");
+  const ScopedTempFile path_file("aptq_packed_bad");
+  const std::string& path = path_file.path();
   {
     BinaryWriter w(path);
     w.write_u32(0x12345678u);
     w.write_u32(1u);
   }
   EXPECT_THROW(PackedModel::load(path), Error);
-  std::remove(path.c_str());
 }
 
 TEST(PackedModel, GoldenRoundTripPreservesEveryLinear) {
@@ -249,7 +245,8 @@ TEST(PackedModel, GoldenRoundTripPreservesEveryLinear) {
   spec.group_size = 8;
   spec.symmetric = true;
   const PackedModel pm = PackedModel::pack_uniform(m, spec);
-  const std::string path = temp_path("aptq_packed_golden.bin");
+  const ScopedTempFile path_file("aptq_packed_golden");
+  const std::string& path = path_file.path();
   pm.save(path);
   const PackedModel loaded = PackedModel::load(path);
   EXPECT_TRUE(loaded.config() == pm.config());
@@ -258,7 +255,6 @@ TEST(PackedModel, GoldenRoundTripPreservesEveryLinear) {
     EXPECT_TRUE(loaded.linears()[i] == pm.linears()[i]) << "linear " << i;
   }
   EXPECT_EQ(loaded.total_storage_bytes(), pm.total_storage_bytes());
-  std::remove(path.c_str());
 }
 
 TEST(PackedModel, CorruptedHeaderThrowsInsteadOfCrashing) {
@@ -266,7 +262,8 @@ TEST(PackedModel, CorruptedHeaderThrowsInsteadOfCrashing) {
   QuantSpec spec;
   spec.bits = 4;
   spec.group_size = 4;
-  const std::string path = temp_path("aptq_packed_corrupt.bin");
+  const ScopedTempFile path_file("aptq_packed_corrupt");
+  const std::string& path = path_file.path();
   PackedModel::pack_uniform(m, spec).save(path);
 
   // Version field stomped: load must throw, not misparse the remainder.
@@ -282,7 +279,6 @@ TEST(PackedModel, CorruptedHeaderThrowsInsteadOfCrashing) {
   PackedModel::pack_uniform(m, spec).save(path);
   std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
   EXPECT_THROW(PackedModel::load(path), Error);
-  std::remove(path.c_str());
 }
 
 TEST(PackedModel, FileSizeMatchesStorageAccounting) {
@@ -291,7 +287,8 @@ TEST(PackedModel, FileSizeMatchesStorageAccounting) {
   spec.bits = 4;
   spec.group_size = 8;
   const PackedModel pm = PackedModel::pack_uniform(m, spec);
-  const std::string path = temp_path("aptq_packed_size.bin");
+  const ScopedTempFile path_file("aptq_packed_size");
+  const std::string& path = path_file.path();
   pm.save(path);
   const std::uintmax_t file_size = std::filesystem::file_size(path);
   // The file is the accounted payload plus fixed framing: the model header
@@ -301,7 +298,6 @@ TEST(PackedModel, FileSizeMatchesStorageAccounting) {
       (2 * pm.config().n_layers + 2) * 16 + 64;
   EXPECT_GE(file_size, pm.total_storage_bytes());
   EXPECT_LE(file_size, pm.total_storage_bytes() + framing_allowance);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/pipeline.hpp"
 #include "eval/perplexity.hpp"
 #include "tensor/ops.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -234,8 +235,9 @@ TEST(ZooSpecs, ModelSizesOrdered) {
 }
 
 TEST(Zoo, CachesAcrossInstances) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    "aptq_zoo_test_cache").string();
+  // The zoo creates its cache directory in place of the placeholder file.
+  const ScopedTempFile cache("aptq_zoo_test_cache");
+  const std::string& dir = cache.path();
   std::filesystem::remove_all(dir);
   ZooSpec micro;
   micro.name = "micro-test";
@@ -263,7 +265,6 @@ TEST(Zoo, CachesAcrossInstances) {
   // Stale config detection.
   micro.config.ffn_dim = 24;
   EXPECT_THROW(zoo2.get(micro, *corpora, false), Error);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Corpora, StandardCorporaAreWellFormed) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "quant/gptq.hpp"
@@ -16,20 +17,25 @@ namespace {
 
 // ---- quantization grid properties across (bits, group, symmetric) -------
 
+// Three 8-byte fields and no padding. gtest prints a parameter type it has
+// no printer for as a dump of its bytes, and gtest_discover_tests puts that
+// dump into each test's name; padding bytes would carry leftover stack
+// contents into the names and change them from one run to the next.
 struct GridCase {
-  int bits;
+  std::int64_t bits;
   std::size_t group;
-  bool symmetric;
+  std::int64_t symmetric;  // 0 or 1
 };
+static_assert(sizeof(GridCase) == 24);
 
 class GridProperties : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(GridProperties, IdempotentAndBounded) {
   const auto [bits, group, symmetric] = GetParam();
   QuantSpec spec;
-  spec.bits = bits;
+  spec.bits = static_cast<int>(bits);
   spec.group_size = group;
-  spec.symmetric = symmetric;
+  spec.symmetric = symmetric != 0;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Rng rng(1000 + seed);
     Matrix w = Matrix::randn(5, 24, rng, 0.0f, rng.uniform(0.1f, 3.0f));
@@ -64,9 +70,9 @@ TEST_P(GridProperties, IdempotentAndBounded) {
 TEST_P(GridProperties, SignAndZeroPreservation) {
   const auto [bits, group, symmetric] = GetParam();
   QuantSpec spec;
-  spec.bits = bits;
+  spec.bits = static_cast<int>(bits);
   spec.group_size = group;
-  spec.symmetric = symmetric;
+  spec.symmetric = symmetric != 0;
   Rng rng(77);
   Matrix w = Matrix::randn(4, 16, rng);
   w(0, 3) = 0.0f;

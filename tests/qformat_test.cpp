@@ -5,11 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "quant/qformat.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -370,17 +369,14 @@ TEST(Packed, RaggedColumnsPack) {
 
 // Serialize a linear and return the raw record bytes.
 std::vector<std::uint8_t> record_bytes(const QuantizedLinear& q) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "aptq_qfmt_prop.bin").string();
+  const ScopedTempFile file("aptq_qfmt_prop");
   {
-    BinaryWriter writer(path);
+    BinaryWriter writer(file.path());
     q.serialize(writer);
   }
-  std::ifstream in(path, std::ios::binary);
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  std::remove(path.c_str());
-  return bytes;
+  std::ifstream in(file.path(), std::ios::binary);
+  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
 }
 
 class BlockedProperty
@@ -407,16 +403,13 @@ TEST_P(BlockedProperty, RandomMatricesRoundTripWithinGridTolerance) {
     // a step of its group's grid (the mean scale bounds a "typical" step;
     // per-group check uses the matrix-wide max via mean upper bound).
     const QuantizedLinear reloaded = [&] {
-      const auto path = (std::filesystem::temp_directory_path() /
-                         "aptq_qfmt_prop_rt.bin").string();
+      const ScopedTempFile file("aptq_qfmt_prop_rt");
       {
-        BinaryWriter writer(path);
+        BinaryWriter writer(file.path());
         packed.serialize(writer);
       }
-      BinaryReader reader(path);
-      QuantizedLinear q = QuantizedLinear::deserialize(reader);
-      std::remove(path.c_str());
-      return q;
+      BinaryReader reader(file.path());
+      return QuantizedLinear::deserialize(reader);
     }();
     EXPECT_TRUE(reloaded == packed);
     // Byte-identical re-serialization (acceptance: v3 round-trips exactly).
@@ -429,6 +422,33 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 4, 8),
                        ::testing::Values(std::size_t{8}, std::size_t{16},
                                          std::size_t{32}, std::size_t{64})));
+
+// Every width 1..8 stores its codes without overlap: the packed layer
+// dequantizes to exactly the fake-quantized values (5..7-bit codes ride
+// in whole bytes) and its record round-trips byte for byte.
+TEST(BlockedProperty, EveryWidthDequantizesToFakeQuantBitwise) {
+  Rng rng(57);
+  const Matrix w = Matrix::randn(6, 37, rng);
+  for (int bits = 1; bits <= 8; ++bits) {
+    for (const std::size_t group : {std::size_t{8}, std::size_t{16}}) {
+      const auto spec = spec_of(bits, group);
+      const QuantizedLinear packed(w, spec);
+      Matrix fake = w;
+      quantize_dequantize_matrix(fake, spec);
+      EXPECT_TRUE(packed.dequantize() == fake)
+          << "bits=" << bits << " group=" << group;
+      const ScopedTempFile file("aptq_qfmt_widths");
+      {
+        BinaryWriter writer(file.path());
+        packed.serialize(writer);
+      }
+      BinaryReader reader(file.path());
+      const QuantizedLinear reloaded = QuantizedLinear::deserialize(reader);
+      EXPECT_TRUE(reloaded == packed) << "bits=" << bits << " group=" << group;
+      EXPECT_EQ(record_bytes(reloaded), record_bytes(packed));
+    }
+  }
+}
 
 TEST(BlockedProperty, EdgeRowsQuantizeExactly) {
   // Rows the grid must represent without error: all-zero, single repeated
@@ -495,7 +515,9 @@ TEST(BlockedProperty, KernelPathCoversAffineNibbleAndByteWidths) {
   EXPECT_TRUE(QuantizedLinear(w, spec_of(3, 8)).has_kernel_path());
   EXPECT_TRUE(QuantizedLinear(w, spec_of(4, 8)).has_kernel_path());
   EXPECT_TRUE(QuantizedLinear(w, spec_of(8, 8)).has_kernel_path());
-  EXPECT_FALSE(QuantizedLinear(w, spec_of(2, 8)).has_kernel_path());
+  EXPECT_TRUE(QuantizedLinear(w, spec_of(2, 8)).has_kernel_path());
+  EXPECT_TRUE(QuantizedLinear(w, spec_of(6, 8)).has_kernel_path());
+  EXPECT_FALSE(QuantizedLinear(w, spec_of(1, 8)).has_kernel_path());
   QuantSpec fp4;
   fp4.format = QFormat::fp4_e2m1;
   fp4.group_size = 8;

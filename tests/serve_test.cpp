@@ -22,6 +22,7 @@
 #include "quant/packed_model.hpp"
 #include "serve/engine.hpp"
 #include "util/threadpool.hpp"
+#include "packed_fixtures.hpp"
 
 namespace aptq::serve {
 namespace {
@@ -159,6 +160,11 @@ TEST_P(ServeEquivalence, PackedMatchesSequentialDecode) {
   const Model m = Model::init(test_config(), 22);
   const PackedModel pm = packed_for(m);
   expect_equivalence(pm, std::get<0>(GetParam()), "packed");
+}
+
+TEST_P(ServeEquivalence, MixedPackedMatchesSequentialDecode) {
+  const PackedModel pm = mixed_2_4_packed(Model::init(test_config(), 22));
+  expect_equivalence(pm, std::get<0>(GetParam()), "mixed packed");
 }
 
 INSTANTIATE_TEST_SUITE_P(

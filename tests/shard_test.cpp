@@ -6,8 +6,6 @@
 // bit-identical saved bytes) and per-worker weight-byte accounting.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -20,6 +18,8 @@
 #include "quant/packed_model.hpp"
 #include "serve/engine.hpp"
 #include "util/threadpool.hpp"
+#include "packed_fixtures.hpp"
+#include "temp_file.hpp"
 
 namespace aptq::net {
 namespace {
@@ -143,6 +143,13 @@ TEST_P(ShardEquivalenceTest, PackedMatchesSoloBitwise) {
   ThreadPool::set_global_threads(threads);
   const Model model = Model::init(shard_config(), 3);
   const PackedModel packed = packed_for(model);
+  check_decode_equivalence(packed, n_workers);
+}
+
+TEST_P(ShardEquivalenceTest, MixedPackedMatchesSoloBitwise) {
+  const auto [n_workers, threads] = GetParam();
+  ThreadPool::set_global_threads(threads);
+  const PackedModel packed = mixed_2_4_packed(Model::init(shard_config(), 3));
   check_decode_equivalence(packed, n_workers);
 }
 
@@ -333,26 +340,21 @@ std::vector<char> file_bytes(const std::string& path) {
 TEST(ShardFileTest, PackedSplitSerializeLoadReassembleBitwise) {
   const Model model = Model::init(shard_config(), 23);
   const PackedModel packed = packed_for(model);
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string original = (dir / "aptq_shard_orig.apq").string();
-  packed.save(original);
+  const ScopedTempFile original("aptq_shard_orig");
+  packed.save(original.path());
 
   const std::size_t n = 4;
   std::vector<ModelShard> loaded;
   for (std::size_t w = 0; w < n; ++w) {
-    const std::string path =
-        (dir / ("aptq_shard_" + std::to_string(w) + ".apqs")).string();
-    save_shard(make_shard(packed, w, n), path);
-    loaded.push_back(load_shard(path));
-    std::filesystem::remove(path);
+    const ScopedTempFile shard("aptq_shard_" + std::to_string(w));
+    save_shard(make_shard(packed, w, n), shard.path());
+    loaded.push_back(load_shard(shard.path()));
   }
   // Reassembled model saves to the exact bytes of the unsharded file.
   const PackedModel rebuilt = reassemble_packed(loaded);
-  const std::string roundtrip = (dir / "aptq_shard_rt.apq").string();
-  rebuilt.save(roundtrip);
-  EXPECT_EQ(file_bytes(original), file_bytes(roundtrip));
-  std::filesystem::remove(original);
-  std::filesystem::remove(roundtrip);
+  const ScopedTempFile roundtrip("aptq_shard_rt");
+  rebuilt.save(roundtrip.path());
+  EXPECT_EQ(file_bytes(original.path()), file_bytes(roundtrip.path()));
 }
 
 TEST(ShardFileTest, DenseReassemblyRestoresEveryWeight) {

@@ -35,6 +35,7 @@
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/threadpool.hpp"
+#include "packed_fixtures.hpp"
 
 namespace aptq::serve {
 namespace {
@@ -174,6 +175,13 @@ TEST_P(DecodeVerify, PackedRowsMatchSequentialSteps) {
   const PackedModel pm = packed_for(m);
   for (const std::size_t rows : {1, 2, 5, 9}) {
     expect_verify_bitwise(pm, rows, "packed");
+  }
+}
+
+TEST_P(DecodeVerify, MixedPackedRowsMatchSequentialSteps) {
+  const PackedModel pm = mixed_2_4_packed(Model::init(test_config(), 42));
+  for (const std::size_t rows : {1, 2, 5, 9}) {
+    expect_verify_bitwise(pm, rows, "mixed packed");
   }
 }
 

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <set>
 
 #include "util/check.hpp"
@@ -12,6 +10,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "temp_file.hpp"
 
 namespace aptq {
 namespace {
@@ -149,9 +148,8 @@ TEST(Rng, ReseedRestartsStream) {
 
 class IoTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "aptq_io_test.bin").string();
-  void TearDown() override { std::remove(path_.c_str()); }
+  const ScopedTempFile file_{"aptq_io_test"};
+  const std::string& path_ = file_.path();
 };
 
 TEST_F(IoTest, ScalarRoundTrip) {
