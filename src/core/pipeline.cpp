@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 
+#include "model/forward.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "quant/gptq.hpp"
@@ -201,6 +202,20 @@ void quantize_layers(const CalibrationResult& calib,
   });
 }
 
+// Advance each segment's carried activations through block `b`: on return
+// inputs[si] is the input of block b+1.
+void advance_inputs(const Model& model, std::size_t b,
+                    std::vector<Matrix>& inputs) {
+  parallel_for(0, inputs.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    BlockCache cache;
+    for (std::size_t si = lo; si < hi; ++si) {
+      obs::TraceSpan span("calib.forward", "calib");
+      block_forward(model, b, inputs[si], cache);
+      inputs[si] = std::move(cache.x_out);
+    }
+  });
+}
+
 }  // namespace
 
 QuantizedModel quantize_model_with_segments(
@@ -299,15 +314,15 @@ QuantizedModel quantize_model_with_segments(
   // Mixed-precision methods decide the per-layer bit widths from a
   // sensitivity pre-pass on the full-precision model (Algorithm 1, step 2).
   BitAllocation allocation;
+  CalibrationResult prepass;
   const bool mixed = method == Method::aptq_mixed ||
                      method == Method::blockwise_mixed ||
                      method == Method::aptq_knapsack;
   if (mixed) {
     obs::PhaseSpan prepass_phase("pipeline.sensitivity_prepass");
-    const CalibrationResult full =
-        collect_calibration(fp_model, segments, calib_cfg);
+    prepass = collect_calibration(fp_model, segments, calib_cfg);
     const auto ranking =
-        rank_sensitivities(full, fp_model, config.sensitivity_metric);
+        rank_sensitivities(prepass, fp_model, config.sensitivity_metric);
     switch (method) {
       case Method::aptq_mixed:
         allocation = allocate_by_sensitivity(ranking, config.ratio_high,
@@ -345,15 +360,35 @@ QuantizedModel quantize_model_with_segments(
   }
 
   if (config.sequential) {
-    // GPTQ protocol: quantize block by block, re-deriving each block's
-    // Hessians on the partially quantized model. Within a block the layer
-    // jobs are independent and run concurrently.
+    // GPTQ protocol: quantize block by block, deriving each block's Hessians
+    // on the partially quantized model. Each segment's input to block b is
+    // carried over from block b-1's output, computed once that block was
+    // quantized, instead of re-running blocks 0..b-1. Within a block the
+    // layer jobs are independent and run concurrently.
+    std::vector<Matrix> inputs;
+    inputs.reserve(segments.size());
+    for (const auto& segment : segments) {
+      inputs.push_back(embed_tokens(qm.model, segment));
+    }
     for (std::size_t b = 0; b < qm.model.config.n_layers; ++b) {
       obs::TraceSpan block_span("block:" + std::to_string(b), "pipeline");
       CalibrationResult calib;
       {
         obs::PhaseSpan calib_phase("pipeline.calibration");
-        calib = collect_block_calibration(qm.model, segments, b, calib_cfg);
+        if (b > 0) {
+          advance_inputs(qm.model, b - 1, inputs);
+        }
+        if (b == 0 && mixed) {
+          // The pre-pass already calibrated block 0 on these same weights,
+          // segments and config.
+          for (auto& layer : prepass.layers) {
+            if (layer.block == 0 && layer.kind != LinearKind::lm_head) {
+              calib.layers.push_back(std::move(layer));
+            }
+          }
+        } else {
+          calib = collect_block_calibration(qm.model, inputs, b, calib_cfg);
+        }
       }
       obs::PhaseSpan solve_phase("pipeline.solve");
       quantize_layers(calib, by_name, method, config, layer_bits, qm.layers);
@@ -362,7 +397,9 @@ QuantizedModel quantize_model_with_segments(
     CalibrationResult calib;
     {
       obs::PhaseSpan calib_phase("pipeline.calibration");
-      calib = collect_calibration(fp_model, segments, calib_cfg);
+      // A mixed method's pre-pass is this very calibration.
+      calib = mixed ? std::move(prepass)
+                    : collect_calibration(fp_model, segments, calib_cfg);
     }
     obs::PhaseSpan solve_phase("pipeline.solve");
     quantize_layers(calib, by_name, method, config, layer_bits, qm.layers);

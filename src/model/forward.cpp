@@ -63,87 +63,100 @@ void maybe_quant(Matrix& m, const ForwardOptions& options) {
 
 }  // namespace
 
-Matrix model_forward(const Model& model, std::span<const TokenId> tokens,
-                     ForwardCache& cache, const ForwardOptions& options) {
+Matrix embed_tokens(const Model& model, std::span<const TokenId> tokens) {
   const auto& cfg = model.config;
-  const std::size_t t_len = tokens.size();
-  APTQ_CHECK(t_len >= 1, "model_forward: empty input");
+  APTQ_CHECK(!tokens.empty(), "embed_tokens: empty input");
+  Matrix x(tokens.size(), cfg.dim);
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    const TokenId tok = tokens[t];
+    APTQ_CHECK(tok >= 0 && static_cast<std::size_t>(tok) < cfg.vocab_size,
+               "embed_tokens: token id out of range");
+    const auto src = model.tok_embed.row(static_cast<std::size_t>(tok));
+    std::copy(src.begin(), src.end(), x.row(t).begin());
+  }
+  return x;
+}
+
+void block_forward(const Model& model, std::size_t layer, const Matrix& x_in,
+                   BlockCache& bc, const ForwardOptions& options) {
+  const auto& cfg = model.config;
+  APTQ_CHECK(layer < cfg.n_layers, "block_forward: layer out of range");
+  APTQ_CHECK(x_in.rows() >= 1 && x_in.cols() == cfg.dim,
+             "block_forward: input shape mismatch");
+  const auto& w = model.blocks[layer];
+  const std::size_t t_len = x_in.rows();
   const std::size_t d = cfg.dim;
   const std::size_t hd = cfg.head_dim();
   const std::size_t heads = cfg.n_heads;
-
-  cache.seq_len = t_len;
-  cache.x0.resize(t_len, d);
-  for (std::size_t t = 0; t < t_len; ++t) {
-    const TokenId tok = tokens[t];
-    APTQ_CHECK(tok >= 0 && static_cast<std::size_t>(tok) < cfg.vocab_size,
-               "model_forward: token id out of range");
-    const auto src = model.tok_embed.row(static_cast<std::size_t>(tok));
-    std::copy(src.begin(), src.end(), cache.x0.row(t).begin());
-  }
-
-  cache.blocks.resize(cfg.n_layers);
-  const Matrix* x = &cache.x0;
   const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
 
+  bc.x_in = x_in;
+
+  rmsnorm_forward(bc.x_in, w.attn_norm, cfg.norm_eps, bc.normed1,
+                  bc.inv_rms1);
+  maybe_quant(bc.normed1, options);
+
+  bc.q_rot = matmul(bc.normed1, w.wq);
+  bc.k_rot = matmul(bc.normed1, w.wk);
+  bc.v = matmul(bc.normed1, w.wv);
+  rope_apply(bc.q_rot, hd, cfg.rope_theta);
+  rope_apply(bc.k_rot, hd, cfg.rope_theta);
+
+  bc.probs.assign(heads, Matrix());
+  bc.attn_cat.resize(t_len, d);
+  const std::size_t group_factor = cfg.group_factor();
+  for (std::size_t h = 0; h < heads; ++h) {
+    const std::size_t g = h / group_factor;  // shared kv head (GQA)
+    const Matrix qh = extract_head(bc.q_rot, h, hd);
+    const Matrix kh = extract_head(bc.k_rot, g, hd);
+    const Matrix vh = extract_head(bc.v, g, hd);
+    Matrix scores(t_len, t_len);
+    gemm(qh, Trans::no, kh, Trans::yes, scores, inv_sqrt_hd);
+    softmax_rows(scores, /*causal_offset=*/0);
+    bc.probs[h] = std::move(scores);
+    const Matrix oh = matmul(bc.probs[h], vh);
+    accumulate_head(bc.attn_cat, oh, h, hd);
+  }
+
+  Matrix attn_in = bc.attn_cat;  // o_proj input (possibly fake-quantized)
+  maybe_quant(attn_in, options);
+  if (options.act_quant_bits > 0) {
+    bc.attn_cat = attn_in;  // keep cache consistent with what was used
+  }
+  Matrix attn_out = matmul(bc.attn_cat, w.wo);
+
+  bc.x_mid = bc.x_in;
+  axpy(1.0f, attn_out, bc.x_mid);
+
+  rmsnorm_forward(bc.x_mid, w.ffn_norm, cfg.norm_eps, bc.normed2,
+                  bc.inv_rms2);
+  maybe_quant(bc.normed2, options);
+
+  bc.gate_pre = matmul(bc.normed2, w.w_gate);
+  bc.up = matmul(bc.normed2, w.w_up);
+  silu(bc.gate_pre, bc.silu_gate);
+  bc.act.resize(t_len, cfg.ffn_dim);
+  for (std::size_t i = 0; i < bc.act.size(); ++i) {
+    bc.act.flat()[i] = bc.silu_gate.flat()[i] * bc.up.flat()[i];
+  }
+  maybe_quant(bc.act, options);
+  Matrix ffn_out = matmul(bc.act, w.w_down);
+
+  bc.x_out = bc.x_mid;
+  axpy(1.0f, ffn_out, bc.x_out);
+}
+
+Matrix model_forward(const Model& model, std::span<const TokenId> tokens,
+                     ForwardCache& cache, const ForwardOptions& options) {
+  const auto& cfg = model.config;
+  APTQ_CHECK(!tokens.empty(), "model_forward: empty input");
+  cache.seq_len = tokens.size();
+  cache.x0 = embed_tokens(model, tokens);
+  cache.blocks.resize(cfg.n_layers);
+  const Matrix* x = &cache.x0;
   for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-    const auto& w = model.blocks[layer];
-    BlockCache& bc = cache.blocks[layer];
-    bc.x_in = *x;
-
-    rmsnorm_forward(bc.x_in, w.attn_norm, cfg.norm_eps, bc.normed1,
-                    bc.inv_rms1);
-    maybe_quant(bc.normed1, options);
-
-    bc.q_rot = matmul(bc.normed1, w.wq);
-    bc.k_rot = matmul(bc.normed1, w.wk);
-    bc.v = matmul(bc.normed1, w.wv);
-    rope_apply(bc.q_rot, hd, cfg.rope_theta);
-    rope_apply(bc.k_rot, hd, cfg.rope_theta);
-
-    bc.probs.assign(heads, Matrix());
-    bc.attn_cat.resize(t_len, d);
-    const std::size_t group_factor = cfg.group_factor();
-    for (std::size_t h = 0; h < heads; ++h) {
-      const std::size_t g = h / group_factor;  // shared kv head (GQA)
-      const Matrix qh = extract_head(bc.q_rot, h, hd);
-      const Matrix kh = extract_head(bc.k_rot, g, hd);
-      const Matrix vh = extract_head(bc.v, g, hd);
-      Matrix scores(t_len, t_len);
-      gemm(qh, Trans::no, kh, Trans::yes, scores, inv_sqrt_hd);
-      softmax_rows(scores, /*causal_offset=*/0);
-      bc.probs[h] = std::move(scores);
-      const Matrix oh = matmul(bc.probs[h], vh);
-      accumulate_head(bc.attn_cat, oh, h, hd);
-    }
-
-    Matrix attn_in = bc.attn_cat;  // o_proj input (possibly fake-quantized)
-    maybe_quant(attn_in, options);
-    if (options.act_quant_bits > 0) {
-      bc.attn_cat = attn_in;  // keep cache consistent with what was used
-    }
-    Matrix attn_out = matmul(bc.attn_cat, w.wo);
-
-    bc.x_mid = bc.x_in;
-    axpy(1.0f, attn_out, bc.x_mid);
-
-    rmsnorm_forward(bc.x_mid, w.ffn_norm, cfg.norm_eps, bc.normed2,
-                    bc.inv_rms2);
-    maybe_quant(bc.normed2, options);
-
-    bc.gate_pre = matmul(bc.normed2, w.w_gate);
-    bc.up = matmul(bc.normed2, w.w_up);
-    silu(bc.gate_pre, bc.silu_gate);
-    bc.act.resize(t_len, cfg.ffn_dim);
-    for (std::size_t i = 0; i < bc.act.size(); ++i) {
-      bc.act.flat()[i] = bc.silu_gate.flat()[i] * bc.up.flat()[i];
-    }
-    maybe_quant(bc.act, options);
-    Matrix ffn_out = matmul(bc.act, w.w_down);
-
-    bc.x_out = bc.x_mid;
-    axpy(1.0f, ffn_out, bc.x_out);
-    x = &bc.x_out;
+    block_forward(model, layer, *x, cache.blocks[layer], options);
+    x = &cache.blocks[layer].x_out;
   }
 
   rmsnorm_forward(*x, model.final_norm, cfg.norm_eps, cache.normed_final,

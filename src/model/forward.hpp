@@ -47,6 +47,14 @@ struct ForwardCache {
   std::size_t seq_len = 0;
 };
 
+/// Token embeddings of `tokens`: the (T×d) input to block 0.
+Matrix embed_tokens(const Model& model, std::span<const TokenId> tokens);
+
+/// Run block `layer` over its (T×d) input `x_in`, filling `bc` (the block
+/// output is `bc.x_out`).
+void block_forward(const Model& model, std::size_t layer, const Matrix& x_in,
+                   BlockCache& bc, const ForwardOptions& options = {});
+
 /// Run the model over `tokens`; returns (T×V) logits and fills `cache`.
 Matrix model_forward(const Model& model, std::span<const TokenId> tokens,
                      ForwardCache& cache, const ForwardOptions& options = {});

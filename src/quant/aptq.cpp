@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "model/backward.hpp"
 #include "model/forward.hpp"
@@ -85,11 +86,19 @@ struct LayerSlot {
   std::size_t gamma_count = 0;
 };
 
-CalibrationResult collect_impl(const Model& model,
-                               std::span<const TokenSeq> segments,
-                               const CalibConfig& config,
-                               long only_block) {
-  APTQ_CHECK(!segments.empty(), "calibration: no segments");
+// Segments whose forwards and γ probes run concurrently before their
+// Hessian terms are folded in. A fixed constant, so the fold order never
+// depends on the thread count; it bounds the live forward caches.
+constexpr std::size_t kSegmentChunk = 16;
+
+// Fills a segment's forward cache: a full model_forward, or one block's
+// forward from that segment's carried input.
+using SegmentForward = std::function<void(std::size_t, ForwardCache&)>;
+
+CalibrationResult collect_impl(const Model& model, std::size_t n_segments,
+                               const SegmentForward& forward,
+                               const CalibConfig& config, long only_block) {
+  APTQ_CHECK(n_segments > 0, "calibration: no segments");
   std::vector<LayerSlot> slots;
   for (const auto& ref : collect_linears(model, config.include_lm_head)) {
     if (only_block >= 0 && ref.kind != LinearKind::lm_head &&
@@ -103,57 +112,66 @@ CalibrationResult collect_impl(const Model& model,
   }
   APTQ_CHECK(!slots.empty(), "calibration: no layers selected");
 
-  ForwardCache cache;
-  for (std::size_t si = 0; si < segments.size(); ++si) {
-    obs::TraceSpan segment_span("calib.segment", "calib");
-    const auto& segment = segments[si];
-    {
-      obs::TraceSpan forward_span("calib.forward", "calib");
-      model_forward(model, segment, cache);
-    }
-    // γ per block (computed once, shared by that block's q/k/v slots). The
-    // probe RNG is keyed to (seed, segment, block) so per-block collection
-    // reproduces exactly the γ a full-model pass would produce — and so the
-    // blocks' probe passes can run concurrently, each on its own stream.
-    std::vector<AttentionGammas> gammas(model.config.n_layers);
-    if (config.mode == HessianMode::aptq) {
-      parallel_for(0, slots.size(), 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const auto& slot = slots[i];
+  const std::size_t chunk = std::min(kSegmentChunk, n_segments);
+  std::vector<ForwardCache> caches(chunk);
+  // γ per (segment in chunk, block), shared by that block's q/k/v slots.
+  std::vector<std::vector<AttentionGammas>> gammas(
+      chunk, std::vector<AttentionGammas>(model.config.n_layers));
+  for (std::size_t c0 = 0; c0 < n_segments; c0 += chunk) {
+    const std::size_t c1 = std::min(c0 + chunk, n_segments);
+    // Each segment of the chunk owns its cache and γ slots, so segments run
+    // concurrently. The probe RNG is keyed to (seed, segment, block), so
+    // per-block collection reproduces exactly the γ a full-model pass would
+    // produce.
+    parallel_for(c0, c1, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t si = b; si < e; ++si) {
+        obs::TraceSpan segment_span("calib.segment", "calib");
+        ForwardCache& cache = caches[si - c0];
+        {
+          obs::TraceSpan forward_span("calib.forward", "calib");
+          forward(si, cache);
+        }
+        if (config.mode != HessianMode::aptq) {
+          continue;
+        }
+        for (const auto& slot : slots) {
           if (slot.ref.kind != LinearKind::q_proj) {
             continue;
           }
           obs::TraceSpan probe_span("calib.gamma_probe", "calib");
           Rng probe_rng(config.seed ^ (si * 1000003ull) ^
                         (slot.ref.block * 7919ull + 1));
-          gammas[slot.ref.block] =
+          gammas[si - c0][slot.ref.block] =
               attention_gammas(model, slot.ref.block,
-                               cache.blocks[slot.ref.block],
-                               config.probes, probe_rng);
+                               cache.blocks[slot.ref.block], config.probes,
+                               probe_rng);
         }
-      });
-    }
+      }
+    });
     // Per-layer Hessian accumulation: every slot owns its accumulator and
-    // reads the shared forward cache, so the layer fan-out is embarrassingly
-    // parallel and each layer's token order matches the serial path.
+    // folds the chunk's segments in ascending order, so each layer's token
+    // order matches the serial path at any thread count.
     parallel_for(0, slots.size(), 1, [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
         auto& slot = slots[i];
-        const Matrix& x = linear_input(cache, slot.ref.kind, slot.ref.block);
-        std::span<const float> gamma;
-        if (config.mode == HessianMode::aptq) {
-          const auto& bg = gammas[slot.ref.block];
-          switch (slot.ref.kind) {
-            case LinearKind::q_proj: gamma = bg.q; break;
-            case LinearKind::k_proj: gamma = bg.k; break;
-            case LinearKind::v_proj: gamma = bg.v; break;
-            default: break;  // o_proj / FFN / lm_head: γ ≡ 1 (eq. 9)
+        for (std::size_t si = c0; si < c1; ++si) {
+          const Matrix& x =
+              linear_input(caches[si - c0], slot.ref.kind, slot.ref.block);
+          std::span<const float> gamma;
+          if (config.mode == HessianMode::aptq) {
+            const auto& bg = gammas[si - c0][slot.ref.block];
+            switch (slot.ref.kind) {
+              case LinearKind::q_proj: gamma = bg.q; break;
+              case LinearKind::k_proj: gamma = bg.k; break;
+              case LinearKind::v_proj: gamma = bg.v; break;
+              default: break;  // o_proj / FFN / lm_head: γ ≡ 1 (eq. 9)
+            }
           }
-        }
-        slot.acc.add_matrix(x, gamma);
-        for (const float gv : gamma) {
-          slot.gamma_sum += gv;
-          ++slot.gamma_count;
+          slot.acc.add_matrix(x, gamma);
+          for (const float gv : gamma) {
+            slot.gamma_sum += gv;
+            ++slot.gamma_count;
+          }
         }
       }
     });
@@ -198,16 +216,27 @@ CalibrationResult collect_impl(const Model& model,
 CalibrationResult collect_calibration(const Model& model,
                                       std::span<const TokenSeq> segments,
                                       const CalibConfig& config) {
-  return collect_impl(model, segments, config, /*only_block=*/-1);
+  return collect_impl(
+      model, segments.size(),
+      [&](std::size_t si, ForwardCache& cache) {
+        model_forward(model, segments[si], cache);
+      },
+      config, /*only_block=*/-1);
 }
 
 CalibrationResult collect_block_calibration(const Model& model,
-                                            std::span<const TokenSeq> segments,
+                                            std::span<const Matrix> inputs,
                                             std::size_t block,
                                             const CalibConfig& config) {
   APTQ_CHECK(block < model.config.n_layers,
              "collect_block_calibration: block out of range");
-  return collect_impl(model, segments, config, static_cast<long>(block));
+  return collect_impl(
+      model, inputs.size(),
+      [&](std::size_t si, ForwardCache& cache) {
+        cache.blocks.resize(model.config.n_layers);
+        block_forward(model, block, inputs[si], cache.blocks[block]);
+      },
+      config, static_cast<long>(block));
 }
 
 }  // namespace aptq

@@ -56,16 +56,22 @@ struct CalibrationResult {
 
 /// Collect Hessians for every quantizable layer of `model` over the
 /// calibration segments (one forward + `probes` attention-probe backwards
-/// per segment in aptq mode).
+/// per segment in aptq mode). Segments run concurrently in fixed chunks;
+/// each layer's Hessian folds them in segment order, so the result is
+/// bitwise independent of the thread count.
 CalibrationResult collect_calibration(const Model& model,
                                       std::span<const TokenSeq> segments,
                                       const CalibConfig& config);
 
-/// Collect Hessians for the seven linear layers of a single block — the
-/// inner step of the sequential quantization pipeline, where block b's
-/// Hessians must be computed with blocks 0..b-1 already quantized.
+/// Collect Hessians for the seven linear layers of block `block`, given
+/// each calibration segment's (T×d) input to that block — the inner step of
+/// the sequential quantization pipeline, where block b's Hessians must be
+/// computed with blocks 0..b-1 already quantized. The pipeline carries
+/// `inputs` forward block by block (embed_tokens, then block_forward); the
+/// result equals the block's layers of collect_calibration on a model whose
+/// earlier blocks produced those inputs, bitwise.
 CalibrationResult collect_block_calibration(const Model& model,
-                                            std::span<const TokenSeq> segments,
+                                            std::span<const Matrix> inputs,
                                             std::size_t block,
                                             const CalibConfig& config);
 

@@ -450,6 +450,18 @@ float dot4(const float* a, const float* b, std::size_t n) {
   return ((s0 + s1) + (s2 + s3)) + tail;
 }
 
+// The packed dequant-dot family below promises batched == solo bitwise
+// (qdot_row_panel/panel2 replay qdot_row's expression trees). That holds only
+// if those trees round alike, but FMA contraction may fuse them differently
+// per call site, so on FMA targets it is off for this section; the GEMM/SYRK
+// kernels above keep it. The baseline ISA has no FMA, so its code is
+// unaffected.
+#if defined(__FMA__) && defined(__GNUC__) && !defined(__clang__)
+#define APTQ_PACKED_NO_CONTRACT
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 namespace {
 
 // Split-half fold. The 4-bit and 2-bit kernels fold every group as two
@@ -1275,6 +1287,10 @@ void qgemv_batch(const QBlock& q, const float* x, std::size_t n, float* y) {
 }
 
 }  // namespace kern
+#ifdef APTQ_PACKED_NO_CONTRACT
+#pragma GCC pop_options
+#undef APTQ_PACKED_NO_CONTRACT
+#endif
 
 namespace ref {
 

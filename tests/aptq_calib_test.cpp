@@ -8,6 +8,7 @@
 
 #include "model/forward.hpp"
 #include "quant/aptq.hpp"
+#include "quant/qformat.hpp"
 #include "tensor/cholesky.hpp"
 #include "tensor/ops.hpp"
 
@@ -209,22 +210,93 @@ TEST(Calibration, QkvDifferAcrossModes) {
   EXPECT_NE(b.by_name("layers.0.self_attn.v_proj").gamma_mean, 1.0);
 }
 
+// Each segment's input to block `block` from a full forward pass.
+std::vector<Matrix> block_inputs(const Model& m,
+                                 const std::vector<TokenSeq>& segs,
+                                 std::size_t block) {
+  std::vector<Matrix> inputs;
+  ForwardCache cache;
+  for (const auto& s : segs) {
+    model_forward(m, s, cache);
+    inputs.push_back(cache.blocks[block].x_in);
+  }
+  return inputs;
+}
+
+// Per-block collection must reproduce the full pass's layers exactly: the
+// sequential pipeline relies on it when it swaps whole-model forwards for
+// carried block inputs.
+void expect_same_layers(const CalibrationResult& got,
+                        const CalibrationResult& full) {
+  for (const auto& layer : got.layers) {
+    const auto& ref = full.by_name(layer.name);
+    EXPECT_TRUE(layer.hessian == ref.hessian) << layer.name;
+    EXPECT_EQ(layer.avg_trace, ref.avg_trace) << layer.name;
+    EXPECT_EQ(layer.gamma_mean, ref.gamma_mean) << layer.name;
+  }
+}
+
 TEST(Calibration, BlockCollectionMatchesFiltering) {
   const Model m = Model::init(small_config(), 22);
   const auto segs = make_segments(3, 8, 16, 23);
   CalibConfig cfg;
   const auto full = collect_calibration(m, segs, cfg);
-  const auto block1 = collect_block_calibration(m, segs, 1, cfg);
+  const auto inputs = block_inputs(m, segs, 1);
+  const auto block1 = collect_block_calibration(m, inputs, 1, cfg);
   ASSERT_EQ(block1.layers.size(), 7u);
   for (const auto& layer : block1.layers) {
     EXPECT_EQ(layer.block, 1u);
-    const auto& ref = full.by_name(layer.name);
-    for (std::size_t i = 0; i < layer.hessian.size(); ++i) {
-      EXPECT_NEAR(layer.hessian.flat()[i], ref.hessian.flat()[i], 1e-4f)
-          << layer.name;
+  }
+  expect_same_layers(block1, full);
+  EXPECT_THROW(collect_block_calibration(m, inputs, 5, cfg), Error);
+}
+
+TEST(Calibration, BlockZeroFromEmbeddingsMatchesFullPass) {
+  // The pipeline reuses the full-precision pre-pass for block 0.
+  const Model m = Model::init(small_config(), 27);
+  const auto segs = make_segments(18, 8, 16, 28);  // spans two chunks
+  CalibConfig cfg;
+  const auto full = collect_calibration(m, segs, cfg);
+  std::vector<Matrix> embedded;
+  for (const auto& s : segs) {
+    embedded.push_back(embed_tokens(m, s));
+  }
+  const auto block0 = collect_block_calibration(m, embedded, 0, cfg);
+  ASSERT_EQ(block0.layers.size(), 7u);
+  expect_same_layers(block0, full);
+}
+
+TEST(Calibration, CarriedInputsMatchFullPassAfterQuantizingBlockZero) {
+  // The sequential protocol: snap block 0 to a 3-bit grid, then carry the
+  // embeddings through it with block_forward.
+  Model m = Model::init(small_config(), 29);
+  QuantSpec spec;
+  spec.bits = 3;
+  spec.group_size = 4;
+  for (const auto& ref : collect_linears(m)) {
+    if (ref.kind != LinearKind::lm_head && ref.block == 0) {
+      Matrix wt = ref.weight->transposed();
+      quantize_dequantize_matrix(wt, spec);
+      *ref.weight = wt.transposed();
     }
   }
-  EXPECT_THROW(collect_block_calibration(m, segs, 5, cfg), Error);
+  const auto segs = make_segments(5, 9, 16, 30);
+  std::vector<Matrix> carried;
+  BlockCache bc;
+  for (const auto& s : segs) {
+    block_forward(m, 0, embed_tokens(m, s), bc);
+    carried.push_back(bc.x_out);
+  }
+  const auto expected = block_inputs(m, segs, 1);
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_TRUE(carried[i] == expected[i]) << "segment " << i;
+  }
+  for (const auto mode : {HessianMode::gptq, HessianMode::aptq}) {
+    CalibConfig cfg;
+    cfg.mode = mode;
+    expect_same_layers(collect_block_calibration(m, carried, 1, cfg),
+                       collect_calibration(m, segs, cfg));
+  }
 }
 
 TEST(Calibration, RejectsEmptySegments) {

@@ -1,5 +1,6 @@
 // Serial-equivalence suite for the parallelized hot paths: matmul, Hessian
-// accumulation, and the GPTQ solver must produce bitwise-identical results
+// accumulation, the GPTQ solver and the whole quantizer (calibration fanned
+// out over segments) must produce bitwise-identical results
 // at 2, 4, and 7 threads compared to the fully serial 1-thread path, on the
 // same seeded inputs. Shapes are deliberately not divisible by the chunk
 // grains to exercise chunk-boundary handling. With the register-tiled
@@ -11,6 +12,7 @@
 
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "quant/gptq.hpp"
 #include "quant/hessian.hpp"
 #include "tensor/ops.hpp"
@@ -179,6 +181,49 @@ TEST_F(ParallelEquivalenceTest, GptqRepeatedRunsAreStable) {
     const GptqResult again = run_gptq(w, h, cfg);
     EXPECT_TRUE(again.weight == first.weight) << "run " << run;
     EXPECT_EQ(again.proxy_loss, first.proxy_loss) << "run " << run;
+  }
+}
+
+TEST_F(ParallelEquivalenceTest, QuantizeModelWeights) {
+  // End to end: sequential calibration fans out over segments (20 segments
+  // span a full chunk plus a partial one), carries block inputs forward, and
+  // quantizes each block's layers concurrently. The weights must not depend
+  // on the pool size.
+  MarkovSpec spec;
+  spec.seed = 507;
+  spec.vocab_size = 16;
+  spec.topics = 2;
+  spec.branching = 3;
+  const Corpus corpus("calib", spec, 3000, 300, 508);
+  ModelConfig mc;
+  mc.vocab_size = 16;
+  mc.dim = 16;
+  mc.n_layers = 3;
+  mc.n_heads = 2;
+  mc.ffn_dim = 24;
+  const Model fp = Model::init(mc, 509);
+  PipelineConfig pc;
+  pc.calib_segments = 20;
+  pc.calib_seq_len = 12;
+  pc.group_size = 8;
+  pc.ratio_high = 0.5;
+
+  const auto weights = [&](Method method) {
+    const QuantizedModel qm = quantize_model(fp, corpus, method, pc);
+    std::vector<Matrix> out;
+    for (const auto& ref : collect_linears(qm.model)) {
+      out.push_back(*ref.weight);
+    }
+    return out;
+  };
+  for (const Method method : {Method::aptq_mixed, Method::gptq}) {
+    ThreadPool::set_global_threads(1);
+    const auto serial = weights(method);
+    for (const std::size_t threads : {2, 4}) {
+      ThreadPool::set_global_threads(threads);
+      EXPECT_TRUE(weights(method) == serial)
+          << method_name(method, pc) << " threads=" << threads;
+    }
   }
 }
 
