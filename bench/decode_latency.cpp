@@ -1,6 +1,7 @@
 // Per-token generation latency: full-prefix forward pass vs KV-cached
 // decode_step, for the dense model and the bit-packed model (whose steps run
-// the fused dequantize GEMV), at several context lengths. Writes
+// the fused dequantize GEMV), at several context lengths, plus the prefill
+// throughput (prompt tokens/s) of decode_prefill at each length. Writes
 // BENCH_decode.json. Flags: `--threads N` (pool size, default 1),
 // `--out PATH`.
 #include <cstdio>
@@ -26,6 +27,7 @@ struct Row {
   double full_forward_s = 0.0;  // one full-prefix forward at this context
   double decode_step_s = 0.0;   // one KV-cached step at this context
   double speedup = 0.0;
+  double prefill_tok_per_s = 0.0;  // decode_prefill of the whole context
 };
 
 ModelConfig bench_config() {
@@ -59,7 +61,9 @@ double best_of(std::size_t repeats, Fn&& fn) {
 }
 
 // One row: per-token cost without a cache (forward over the whole prefix)
-// vs with one (prefill the prefix once, then time `steps` decode steps).
+// vs with one (prefill the prefix, then time `steps` decode steps), and the
+// prefill's own throughput (best of 3; `prefill` starts from an empty
+// state).
 template <typename FullFn, typename PrefillFn, typename StepFn>
 Row measure(const std::string& name, std::size_t context, FullFn&& full,
             PrefillFn&& prefill, StepFn&& step) {
@@ -68,7 +72,8 @@ Row measure(const std::string& name, std::size_t context, FullFn&& full,
   row.model = name;
   row.context = context;
   row.full_forward_s = best_of(3, full);
-  prefill();
+  row.prefill_tok_per_s =
+      static_cast<double>(context) / best_of(3, prefill);
   const Timer timer;
   for (std::size_t i = 0; i < kSteps; ++i) {
     step();
@@ -141,7 +146,8 @@ bool write_json(const std::vector<Row>& rows,
     out << "    {\"model\": \"" << r.model << "\", \"context\": " << r.context
         << ", \"full_forward_s\": " << r.full_forward_s
         << ", \"decode_step_s\": " << r.decode_step_s
-        << ", \"speedup\": " << r.speedup << "}"
+        << ", \"speedup\": " << r.speedup
+        << ", \"prefill_tok_per_s\": " << r.prefill_tok_per_s << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -179,7 +185,10 @@ int run(std::size_t threads, const std::string& out_path) {
       rows.push_back(measure(
           "dense", context,
           [&] { model_forward(model, tokens); },
-          [&] { decode_prefill(model, tokens, state); },
+          [&] {
+            state.reset();
+            decode_prefill(model, tokens, state);
+          },
           [&] { decode_step(model, next, state); }));
     }
     {
@@ -187,7 +196,10 @@ int run(std::size_t threads, const std::string& out_path) {
       rows.push_back(measure(
           "packed_w4g16", context,
           [&] { packed.forward(tokens); },
-          [&] { decode_prefill(packed, tokens, state); },
+          [&] {
+            state.reset();
+            decode_prefill(packed, tokens, state);
+          },
           [&] { decode_step(packed, next, state); }));
     }
   }
@@ -212,11 +224,13 @@ int run(std::size_t threads, const std::string& out_path) {
     }
   }
 
-  std::printf("%-14s %8s %16s %16s %9s\n", "model", "context",
-              "full_forward_s", "decode_step_s", "speedup");
+  std::printf("%-14s %8s %16s %16s %9s %18s\n", "model", "context",
+              "full_forward_s", "decode_step_s", "speedup",
+              "prefill_tok_per_s");
   for (const Row& r : rows) {
-    std::printf("%-14s %8zu %16.6f %16.6f %8.1fx\n", r.model.c_str(),
-                r.context, r.full_forward_s, r.decode_step_s, r.speedup);
+    std::printf("%-14s %8zu %16.6f %16.6f %8.1fx %18.0f\n", r.model.c_str(),
+                r.context, r.full_forward_s, r.decode_step_s, r.speedup,
+                r.prefill_tok_per_s);
   }
   std::printf("%-14s %8s %6s %16s %14s\n", "model", "context", "batch",
               "per_token_s", "vs_solo");

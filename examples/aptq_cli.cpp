@@ -19,7 +19,7 @@
 #include "eval/harness.hpp"
 #include "eval/perplexity.hpp"
 #include "eval/tasks.hpp"
-#include "model/decoder.hpp"
+#include "model/sampler.hpp"
 #include "obs/log.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -101,6 +101,12 @@ int usage() {
   return 2;
 }
 
+SampleConfig sample_config(const ArgParser& args) {
+  SampleConfig config;
+  config.temperature = static_cast<float>(args.get_double("temp", 1.0));
+  return config;
+}
+
 // The subcommand dispatch, factored out of main so the observability
 // artifacts are finalized on every successful exit path.
 int run_cli(const ArgParser& args, obs::RunReport& report) {
@@ -112,9 +118,9 @@ int run_cli(const ArgParser& args, obs::RunReport& report) {
           PackedModel::load(args.get_string("packed", ""));
       const Model m = pm.unpack();
       Rng rng(static_cast<std::uint64_t>(args.get_long("seed", 1)));
-      const TokenSeq seq = decode_sample(
+      const TokenSeq seq = sample_from_model(
           m, static_cast<std::size_t>(args.get_long("length", 48)), rng,
-          static_cast<float>(args.get_double("temp", 1.0)));
+          sample_config(args));
       for (const TokenId t : seq) {
         std::printf("%d ", t);
       }
@@ -214,9 +220,9 @@ int run_cli(const ArgParser& args, obs::RunReport& report) {
 
     if (args.command() == "generate") {
       Rng rng(static_cast<std::uint64_t>(args.get_long("seed", 1)));
-      const TokenSeq seq = decode_sample(
+      const TokenSeq seq = sample_from_model(
           fp, static_cast<std::size_t>(args.get_long("length", 48)), rng,
-          static_cast<float>(args.get_double("temp", 1.0)));
+          sample_config(args));
       for (const TokenId t : seq) {
         std::printf("%d ", t);
       }

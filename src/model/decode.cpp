@@ -1,6 +1,5 @@
 #include "model/decode.hpp"
 
-#include "tensor/kernels.hpp"
 
 namespace aptq {
 
@@ -154,6 +153,25 @@ void DecodeState::advance(std::size_t n) {
   pos_ += n;
 }
 
+namespace detail {
+
+std::vector<DecodeSegment> step_segments(
+    std::span<const TokenId> tokens, std::span<DecodeState* const> states) {
+  APTQ_CHECK(states.size() == tokens.size(),
+             "decode_step_batch: one state per token required");
+  std::vector<DecodeSegment> segments(tokens.size());
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    segments[i] = {states[i], tokens.subspan(i, 1)};
+  }
+  return segments;
+}
+
+std::vector<float> first_row(const Matrix& logits) {
+  return {logits.row(0).begin(), logits.row(0).end()};
+}
+
+}  // namespace detail
+
 namespace {
 
 // Weight access over the dense fp32 model (see the adapter contract in
@@ -177,52 +195,20 @@ class DenseDecodeAdapter {
   Matrix project(std::size_t layer, LinearKind kind, const Matrix& x) const {
     const BlockWeights& b = model_.blocks[layer];
     switch (kind) {
-      case LinearKind::q_proj: return matmul(x, b.wq);
-      case LinearKind::k_proj: return matmul(x, b.wk);
-      case LinearKind::v_proj: return matmul(x, b.wv);
-      case LinearKind::o_proj: return matmul(x, b.wo);
-      case LinearKind::gate_proj: return matmul(x, b.w_gate);
-      case LinearKind::up_proj: return matmul(x, b.w_up);
-      case LinearKind::down_proj: return matmul(x, b.w_down);
+      case LinearKind::q_proj: return matmul_rowwise(x, b.wq);
+      case LinearKind::k_proj: return matmul_rowwise(x, b.wk);
+      case LinearKind::v_proj: return matmul_rowwise(x, b.wv);
+      case LinearKind::o_proj: return matmul_rowwise(x, b.wo);
+      case LinearKind::gate_proj: return matmul_rowwise(x, b.w_gate);
+      case LinearKind::up_proj: return matmul_rowwise(x, b.w_up);
+      case LinearKind::down_proj: return matmul_rowwise(x, b.w_down);
       case LinearKind::lm_head: break;
     }
     APTQ_FAIL("DenseDecodeAdapter: unexpected projection kind");
   }
 
-  Matrix head(const Matrix& x) const { return matmul(x, model_.lm_head); }
-
-  // Batched projections: row i of the result is bitwise identical to
-  // project()/head() on row i alone, because kern::gemv_batch replays the
-  // solo gemv fold per row (it only shares the streaming of B's rows).
-  Matrix project_batch(std::size_t layer, LinearKind kind,
-                       const Matrix& x) const {
-    const BlockWeights& b = model_.blocks[layer];
-    const Matrix* w = nullptr;
-    switch (kind) {
-      case LinearKind::q_proj: w = &b.wq; break;
-      case LinearKind::k_proj: w = &b.wk; break;
-      case LinearKind::v_proj: w = &b.wv; break;
-      case LinearKind::o_proj: w = &b.wo; break;
-      case LinearKind::gate_proj: w = &b.w_gate; break;
-      case LinearKind::up_proj: w = &b.w_up; break;
-      case LinearKind::down_proj: w = &b.w_down; break;
-      case LinearKind::lm_head:
-        APTQ_FAIL("DenseDecodeAdapter: unexpected projection kind");
-    }
-    APTQ_CHECK(x.cols() == w->rows(), "project_batch: shape mismatch");
-    Matrix out(x.rows(), w->cols());
-    kern::gemv_batch(x.data(), w->data(), x.rows(), x.cols(), w->cols(),
-                     out.data());
-    return out;
-  }
-
-  Matrix head_batch(const Matrix& x) const {
-    APTQ_CHECK(x.cols() == model_.lm_head.rows(),
-               "head_batch: shape mismatch");
-    Matrix out(x.rows(), model_.lm_head.cols());
-    kern::gemv_batch(x.data(), model_.lm_head.data(), x.rows(), x.cols(),
-                     model_.lm_head.cols(), out.data());
-    return out;
+  Matrix head(const Matrix& x) const {
+    return matmul_rowwise(x, model_.lm_head);
   }
 
  private:
@@ -232,29 +218,20 @@ class DenseDecodeAdapter {
 }  // namespace
 
 Matrix decode_prefill(const Model& model, std::span<const TokenId> tokens,
-                      DecodeState& state, const ForwardOptions& options) {
-  return detail::decode_prefill_impl(DenseDecodeAdapter(model), tokens, state,
-                                     options);
+                      DecodeState& state) {
+  const DecodeSegment segment{&state, tokens};
+  return detail::decode_forward(DenseDecodeAdapter(model), {&segment, 1});
 }
 
 std::vector<float> decode_step(const Model& model, TokenId token,
-                               DecodeState& state,
-                               const ForwardOptions& options) {
-  return detail::decode_step_impl(DenseDecodeAdapter(model), token, state,
-                                  options);
+                               DecodeState& state) {
+  return detail::first_row(decode_prefill(model, {&token, 1}, state));
 }
 
 Matrix decode_step_batch(const Model& model, std::span<const TokenId> tokens,
-                         std::span<DecodeState* const> states,
-                         const ForwardOptions& options) {
-  return detail::decode_step_batch_impl(DenseDecodeAdapter(model), tokens,
-                                        states, options);
-}
-
-Matrix decode_verify(const Model& model, std::span<const TokenId> tokens,
-                     DecodeState& state, const ForwardOptions& options) {
-  return detail::decode_verify_impl(DenseDecodeAdapter(model), tokens, state,
-                                    options);
+                         std::span<DecodeState* const> states) {
+  return detail::decode_forward(DenseDecodeAdapter(model),
+                                detail::step_segments(tokens, states));
 }
 
 }  // namespace aptq

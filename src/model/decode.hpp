@@ -1,27 +1,28 @@
 // Incremental decoding engine with per-layer KV caches, shared by the
-// dense Model and (via an adapter instantiated in src/quant) the bit-packed
-// PackedModel.
+// dense Model, the bit-packed PackedModel (via an adapter instantiated in
+// src/quant) and the tensor-parallel ShardedModel (src/net).
 //
 // model_forward() recomputes the whole prefix at every step — fine for
 // training and calibration, quadratic waste for generation. The engine
 // keeps the rotated keys and raw values of every processed position per
-// layer in a DecodeState and offers two entry points:
+// layer in a DecodeState, and runs every entry point through ONE forward
+// pass, detail::decode_forward, over segments of (state, tokens):
 //
-//   decode_prefill(model, tokens, state)  — consume a batch of tokens with
-//       one batched causal-attention pass (GEMM-shaped, O(T²) once),
-//       filling the caches and returning the (T × V) logits of the batch;
-//   decode_step(model, token, state)      — consume one token, attending
-//       only to the cached context: O(context) per generated token.
+//   decode_prefill(model, tokens, state)       — 1 segment × T tokens;
+//   decode_step(model, token, state)           — 1 segment × 1 token;
+//   decode_step_batch(model, tokens, states)   — n segments × 1 token.
 //
-// Logits agree with the full forward pass up to f32 rounding (the batched
-// and single-row kernels reassociate differently); the equivalence is
-// enforced by tests/decode_test.cpp and tests/decoder_test.cpp for both
-// model types, serial and multi-threaded.
+// Every row attends over its own cached context with the same per-head
+// fold, so the three agree bitwise: prefill row j equals the j-th of T
+// sequential steps, a prompt fed in any split equals one whole-prompt
+// prefill, and batched row i equals a solo step. Logits agree with the
+// full forward pass up to f32 rounding (model_forward reassociates its
+// GEMM attention). tests/decode_test.cpp enforces both.
 //
-// The shared implementation is a template over a small weight-access
-// adapter (config / embedding / norms / per-layer projections / lm head),
-// so the packed overloads can live in src/quant without aptq_model
-// depending on aptq_quant. See docs/DECODING.md for the design.
+// The forward is a template over a small weight-access adapter (config /
+// embedding / norms / per-layer projections / lm head), so the packed
+// overloads can live in src/quant without aptq_model depending on
+// aptq_quant. See docs/DECODING.md for the design.
 #pragma once
 
 #include <algorithm>
@@ -29,10 +30,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "data/vocab.hpp"
-#include "model/forward.hpp"
 #include "model/model.hpp"
 #include "obs/control.hpp"
 #include "obs/metrics.hpp"
@@ -198,396 +199,171 @@ class DecodeState {
   std::vector<std::uint32_t> table_;    // page id per page-sized span
 };
 
-/// Batched prefill over the dense model: appends `tokens` to the context
-/// and returns their (T × V) logits. Throws if capacity would be exceeded.
+/// One segment of a decode forward: `tokens` appended, in order, to
+/// `state`'s context.
+struct DecodeSegment {
+  DecodeState* state = nullptr;
+  std::span<const TokenId> tokens;
+};
+
+/// Appends `tokens` to the context and returns their (T × V) logits. Row j
+/// is bitwise identical to the logits of the j-th of T sequential
+/// decode_step() calls, so a prompt may be fed whole, in chunks, or token
+/// by token with the same result — and a speculative verifier scores m
+/// candidates with one call, then state.rewind()s to the accepted prefix.
+/// Throws, leaving the state untouched, on an empty input, an
+/// out-of-range token or a context overflow.
 Matrix decode_prefill(const Model& model, std::span<const TokenId> tokens,
-                      DecodeState& state, const ForwardOptions& options = {});
+                      DecodeState& state);
 
-/// One incremental step over the dense model: appends `token` and returns
-/// its next-token logits.
+/// decode_prefill of one token, returned as a vector.
 std::vector<float> decode_step(const Model& model, TokenId token,
-                               DecodeState& state,
-                               const ForwardOptions& options = {});
+                               DecodeState& state);
 
-/// One incremental step over a whole batch of independent sessions: row i
-/// of the returned (batch × V) logits is bitwise identical to
-/// decode_step(model, tokens[i], *states[i]) — the batched kernels replay
-/// the solo fold per row (see kern::gemv_batch / kern::qgemv_batch) — but
-/// each weight is streamed once per layer for the whole batch instead of
-/// once per request, and threads parallelize inside the batched kernels
-/// where there is real work. States must be distinct; tokens.size() must
-/// equal states.size().
+/// One token for each of a batch of distinct sessions in one forward pass:
+/// row i is bitwise identical to decode_step(model, tokens[i], *states[i]),
+/// but each weight is streamed once per layer for the whole batch.
+/// tokens.size() must equal states.size().
 Matrix decode_step_batch(const Model& model, std::span<const TokenId> tokens,
-                         std::span<DecodeState* const> states,
-                         const ForwardOptions& options = {});
-
-/// Speculative verification: consume `tokens` on ONE session as if by m
-/// sequential decode_step() calls, in a single batched pass. Row j of the
-/// returned (m × V) logits is bitwise identical to the logits of
-/// decode_step(model, tokens[j], state) after steps 0..j-1 — same batched
-/// kernels as decode_step_batch, with row j attending causally to the
-/// prior context plus rows 0..j-1 of the batch. decode_prefill is NOT a
-/// substitute: its GEMM attention reassociates the f32 reductions
-/// differently from the solo fold, so its logits only agree up to
-/// rounding. After a verify pass the caller typically accepts a prefix of
-/// e tokens and calls state.rewind(pos_before + e).
-Matrix decode_verify(const Model& model, std::span<const TokenId> tokens,
-                     DecodeState& state, const ForwardOptions& options = {});
+                         std::span<DecodeState* const> states);
 
 namespace detail {
 
-// --- shared engine -------------------------------------------------------
+// --- the decode forward ---------------------------------------------------
 //
-// Adapter requirements (duck-typed; see DenseDecodeAdapter below and
-// PackedDecodeAdapter in src/quant/packed_model.cpp):
+// Adapter requirements (duck-typed; see DenseDecodeAdapter in decode.cpp,
+// PackedDecodeAdapter in src/quant/packed_model.cpp and ShardedModel):
 //   const ModelConfig& config() const;
 //   std::span<const float> embedding(std::size_t token) const;
 //   std::span<const float> attn_norm(std::size_t layer) const;
 //   std::span<const float> ffn_norm(std::size_t layer) const;
 //   std::span<const float> final_norm() const;
-//   Matrix project(std::size_t layer, LinearKind kind, const Matrix& x);
-//   Matrix project_batch(std::size_t layer, LinearKind kind,
-//                        const Matrix& x);  // row i == project(row i) bitwise
-//   Matrix head(const Matrix& x) const;   // lm_head logits
-//   Matrix head_batch(const Matrix& x) const;  // row i == head(row i) bitwise
+//   Matrix project(std::size_t layer, LinearKind kind,
+//                  const Matrix& x) const;
+//   Matrix head(const Matrix& x) const;  // lm_head logits
+// Row i of project()/head() must depend on row i of x alone, with the
+// same fold at any row count (kern::gemv_batch / kern::qgemv_batch).
 
-template <typename Adapter>
-void decode_check_token(const Adapter& adapter, TokenId token) {
-  APTQ_CHECK(token >= 0 && static_cast<std::size_t>(token) <
-                               adapter.config().vocab_size,
-             "decode: token id out of range");
-}
+/// One segment per session of a batch, one token each (decode_step_batch).
+std::vector<DecodeSegment> step_segments(std::span<const TokenId> tokens,
+                                         std::span<DecodeState* const> states);
 
+/// The single forward pass behind every decode entry point. The rows of
+/// all segments are stacked into one (rows × dim) activation, so each
+/// projection streams its weights once per call.
+///
+/// Exactness: projections, norms, rope and the MLP are row-wise with a
+/// fold that does not depend on the row count. Within a layer, the K/V row
+/// of a token depends only on that token's layer input, so all K/V rows
+/// are written before the attention sweep; each row then attends over
+/// [0, its position] of its own state with the per-head dot4 / softmax /
+/// accumulate fold. A row's logits are therefore bitwise identical
+/// whatever else shares the call — a segment of T tokens equals T
+/// one-token calls, and n one-token segments equal n solo steps, at any
+/// thread count.
+///
+/// Every segment is checked (state, config, capacity, tokens) before any
+/// page is mapped, so a call rejected for its inputs leaves every state's
+/// pos() and pages unchanged. An exhausted arena throws after the pages of
+/// earlier segments were mapped (below max_context, as try_reserve does).
 template <typename Adapter>
-Matrix decode_prefill_impl(const Adapter& adapter,
-                           std::span<const TokenId> tokens,
-                           DecodeState& state,
-                           const ForwardOptions& options) {
-  // Per-batch timing is gated on telemetry so the default decode path pays
+Matrix decode_forward(const Adapter& adapter,
+                      std::span<const DecodeSegment> segments) {
+  // Per-call timing is gated on telemetry so the default decode path pays
   // one relaxed load, never a clock read.
   const std::uint64_t obs_start =
       obs::telemetry_enabled() ? obs::now_ns() : 0;
   const ModelConfig& cfg = adapter.config();
-  APTQ_CHECK(state.config() == cfg,
-             "decode_prefill: state built for a different model config");
-  APTQ_CHECK(!tokens.empty(), "decode_prefill: empty input");
-  APTQ_CHECK(state.pos() + tokens.size() <= state.max_context(),
-             "decode_prefill: context capacity exceeded (" +
-                 std::to_string(state.pos()) + " cached + " +
-                 std::to_string(tokens.size()) + " new > max_context " +
-                 std::to_string(state.max_context()) + ")");
-  const std::size_t t_len = tokens.size();
-  const std::size_t prior = state.pos();
-  const std::size_t d = cfg.dim;
-  const std::size_t hd = cfg.head_dim();
-  APTQ_CHECK(state.try_reserve(t_len),
-             "decode_prefill: KV pages exhausted (" +
-                 std::to_string(state.pages_held()) +
-                 " pages mapped; the pool must admit fewer requests)");
-  const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
-  const auto maybe_quant = [&options](Matrix& m) {
-    if (options.act_quant_bits > 0) {
-      fake_quant_rows(m, options.act_quant_bits);
+  APTQ_CHECK(!segments.empty(), "decode: empty batch");
+  std::size_t rows = 0;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const DecodeState* st = segments[s].state;
+    APTQ_CHECK(st != nullptr, "decode: null state");
+    APTQ_CHECK(st->config() == cfg,
+               "decode: state built for a different model config");
+    for (std::size_t o = 0; o < s; ++o) {
+      APTQ_CHECK(segments[o].state != st, "decode: duplicate state in batch");
     }
-  };
-  // Per-head K/V gather through the page table — the paged equivalent of
-  // the old contiguous cache_head slice (same values, same row order).
-  const auto gather_head = [&](std::size_t layer, bool want_v,
-                               std::size_t rows, std::size_t g) {
-    Matrix out(rows, hd);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* src = (want_v ? state.v_row(layer, r)
-                                 : state.k_row(layer, r)) +
-                         g * hd;
-      std::copy(src, src + hd, out.row(r).begin());
-    }
-    return out;
-  };
-
-  Matrix x(t_len, d);
-  for (std::size_t t = 0; t < t_len; ++t) {
-    decode_check_token(adapter, tokens[t]);
-    const auto src =
-        adapter.embedding(static_cast<std::size_t>(tokens[t]));
-    std::copy(src.begin(), src.end(), x.row(t).begin());
-  }
-
-  Matrix normed;
-  std::vector<float> inv_rms;
-  for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-    rmsnorm_forward(x, adapter.attn_norm(layer), cfg.norm_eps, normed,
-                    inv_rms);
-    maybe_quant(normed);
-
-    Matrix q = adapter.project(layer, LinearKind::q_proj, normed);
-    Matrix k = adapter.project(layer, LinearKind::k_proj, normed);
-    const Matrix v = adapter.project(layer, LinearKind::v_proj, normed);
-    rope_apply(q, hd, cfg.rope_theta, /*inverse=*/false, prior);
-    rope_apply(k, hd, cfg.rope_theta, /*inverse=*/false, prior);
-    for (std::size_t t = 0; t < t_len; ++t) {
-      std::copy(k.row(t).begin(), k.row(t).end(), state.k_row(layer, prior + t));
-      std::copy(v.row(t).begin(), v.row(t).end(), state.v_row(layer, prior + t));
-    }
-
-    const std::size_t ctx = prior + t_len;
-    Matrix attn_cat(t_len, d);
-    const std::size_t group_factor = cfg.group_factor();
-    for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-      const std::size_t g = h / group_factor;  // shared kv head (GQA)
-      const Matrix qh = extract_head(q, h, hd);
-      const Matrix kh = gather_head(layer, /*want_v=*/false, ctx, g);
-      const Matrix vh = gather_head(layer, /*want_v=*/true, ctx, g);
-      Matrix scores(t_len, ctx);
-      gemm(qh, Trans::no, kh, Trans::yes, scores, inv_sqrt_hd);
-      // Row r sits at absolute position prior + r, so it may attend to the
-      // prior context plus its own causal prefix of the batch.
-      softmax_rows(scores, static_cast<long>(prior));
-      accumulate_head(attn_cat, matmul(scores, vh), h, hd);
-    }
-    maybe_quant(attn_cat);
-    axpy(1.0f, adapter.project(layer, LinearKind::o_proj, attn_cat), x);
-
-    rmsnorm_forward(x, adapter.ffn_norm(layer), cfg.norm_eps, normed,
-                    inv_rms);
-    maybe_quant(normed);
-    Matrix gate_pre = adapter.project(layer, LinearKind::gate_proj, normed);
-    const Matrix up = adapter.project(layer, LinearKind::up_proj, normed);
-    Matrix act;
-    silu(gate_pre, act);
-    for (std::size_t i = 0; i < act.size(); ++i) {
-      act.flat()[i] *= up.flat()[i];
-    }
-    maybe_quant(act);
-    axpy(1.0f, adapter.project(layer, LinearKind::down_proj, act), x);
-  }
-
-  rmsnorm_forward(x, adapter.final_norm(), cfg.norm_eps, normed, inv_rms);
-  maybe_quant(normed);
-  state.advance(t_len);
-  Matrix logits = adapter.head(normed);
-  if (obs_start != 0) {
-    static auto& prefill_ms = obs::histogram("decode.prefill_ms");
-    static auto& prefill_tokens = obs::counter("decode.prefill_tokens");
-    prefill_ms.record(static_cast<double>(obs::now_ns() - obs_start) * 1e-6);
-    prefill_tokens.add(t_len);
-  }
-  return logits;
-}
-
-template <typename Adapter>
-std::vector<float> decode_step_impl(const Adapter& adapter, TokenId token,
-                                    DecodeState& state,
-                                    const ForwardOptions& options) {
-  const std::uint64_t obs_start =
-      obs::telemetry_enabled() ? obs::now_ns() : 0;
-  const ModelConfig& cfg = adapter.config();
-  APTQ_CHECK(state.config() == cfg,
-             "decode_step: state built for a different model config");
-  APTQ_CHECK(state.pos() < state.max_context(),
-             "decode_step: context capacity exceeded (" +
-                 std::to_string(state.pos()) +
-                 " positions cached, max_context " +
-                 std::to_string(state.max_context()) +
-                 "); the caller must evict or grow the state");
-  decode_check_token(adapter, token);
-  APTQ_CHECK(state.try_reserve(1),
-             "decode_step: KV pages exhausted; the caller must evict");
-  const std::size_t d = cfg.dim;
-  const std::size_t hd = cfg.head_dim();
-  const std::size_t pos = state.pos();
-  const std::size_t ctx = pos + 1;
-  const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
-  const auto maybe_quant = [&options](Matrix& m) {
-    if (options.act_quant_bits > 0) {
-      fake_quant_rows(m, options.act_quant_bits);
-    }
-  };
-
-  Matrix x(1, d);
-  {
-    const auto src = adapter.embedding(static_cast<std::size_t>(token));
-    std::copy(src.begin(), src.end(), x.row(0).begin());
-  }
-
-  Matrix normed;
-  std::vector<float> inv_rms;
-  std::vector<float> scores(ctx);
-  for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-    rmsnorm_forward(x, adapter.attn_norm(layer), cfg.norm_eps, normed,
-                    inv_rms);
-    maybe_quant(normed);
-
-    Matrix q = adapter.project(layer, LinearKind::q_proj, normed);
-    Matrix k = adapter.project(layer, LinearKind::k_proj, normed);
-    const Matrix v = adapter.project(layer, LinearKind::v_proj, normed);
-    rope_apply(q, hd, cfg.rope_theta, /*inverse=*/false, pos);
-    rope_apply(k, hd, cfg.rope_theta, /*inverse=*/false, pos);
-    std::copy(k.row(0).begin(), k.row(0).end(), state.k_row(layer, pos));
-    std::copy(v.row(0).begin(), v.row(0).end(), state.v_row(layer, pos));
-
-    Matrix attn_cat(1, d);
-    const std::size_t group_factor = cfg.group_factor();
-    for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-      const std::size_t g = h / group_factor;  // shared kv head (GQA)
-      const float* qh = q.data() + h * hd;
-      // Scores over all cached positions (causality is implicit: only
-      // positions <= pos are cached), read through the page table; within
-      // a page consecutive positions stay kv_dim-contiguous. The
-      // four-accumulator dot is the kernel layer's; the dense 1-row
-      // projections above already ride the gemv fast path inside gemm().
-      float max_s = -1e30f;
-      for (std::size_t t = 0; t < ctx; ++t) {
-        const float* kh = state.k_row(layer, t) + g * hd;
-        scores[t] = kern::dot4(qh, kh, hd) * inv_sqrt_hd;
-        max_s = std::max(max_s, scores[t]);
-      }
-      float sum = 0.0f;
-      for (std::size_t t = 0; t < ctx; ++t) {
-        scores[t] = std::exp(scores[t] - max_s);
-        sum += scores[t];
-      }
-      const float inv_sum = 1.0f / sum;
-      float* out = attn_cat.data() + h * hd;
-      for (std::size_t t = 0; t < ctx; ++t) {
-        const float p = scores[t] * inv_sum;
-        const float* vh = state.v_row(layer, t) + g * hd;
-        for (std::size_t c = 0; c < hd; ++c) {
-          out[c] += p * vh[c];
-        }
-      }
-    }
-    maybe_quant(attn_cat);
-    axpy(1.0f, adapter.project(layer, LinearKind::o_proj, attn_cat), x);
-
-    rmsnorm_forward(x, adapter.ffn_norm(layer), cfg.norm_eps, normed,
-                    inv_rms);
-    maybe_quant(normed);
-    Matrix gate_pre = adapter.project(layer, LinearKind::gate_proj, normed);
-    const Matrix up = adapter.project(layer, LinearKind::up_proj, normed);
-    Matrix act;
-    silu(gate_pre, act);
-    for (std::size_t i = 0; i < act.size(); ++i) {
-      act.flat()[i] *= up.flat()[i];
-    }
-    maybe_quant(act);
-    axpy(1.0f, adapter.project(layer, LinearKind::down_proj, act), x);
-  }
-
-  rmsnorm_forward(x, adapter.final_norm(), cfg.norm_eps, normed, inv_rms);
-  maybe_quant(normed);
-  const Matrix logits = adapter.head(normed);
-  state.advance(1);
-  if (obs_start != 0) {
-    static auto& step_ms = obs::histogram("decode.step_ms");
-    static auto& tokens = obs::counter("decode.tokens");
-    step_ms.record(static_cast<double>(obs::now_ns() - obs_start) * 1e-6);
-    tokens.add(1);
-  }
-  return {logits.row(0).begin(), logits.row(0).end()};
-}
-
-// One incremental step for a batch of independent sessions. The activations
-// of the in-flight requests are stacked into (batch × d) matrices and every
-// projection hits a batched kernel once per layer per weight — the weight
-// stream (dense rows, packed code bytes + nibble unpack) is paid once per
-// batch instead of once per request, and threads split the *inside* of each
-// kernel instead of sweeping requests at grain 1.
-//
-// Determinism: every batched stage is row-independent with the solo fold
-// per row (gemv_batch / qgemv_batch replay the solo kernels bit-for-bit;
-// rmsnorm / rope / silu / axpy are row-wise or elementwise; the attention
-// sweep runs the exact decode_step_impl head loop per (request, head) with
-// disjoint outputs). Row i of the returned logits is therefore bitwise
-// identical to decode_step_impl(adapter, tokens[i], *states[i]) at any
-// batch size and thread count — the serve engine's equivalence gate.
-template <typename Adapter>
-Matrix decode_step_batch_impl(const Adapter& adapter,
-                              std::span<const TokenId> tokens,
-                              std::span<DecodeState* const> states,
-                              const ForwardOptions& options) {
-  const std::uint64_t obs_start =
-      obs::telemetry_enabled() ? obs::now_ns() : 0;
-  const ModelConfig& cfg = adapter.config();
-  const std::size_t n = tokens.size();
-  APTQ_CHECK(n >= 1, "decode_step_batch: empty batch");
-  APTQ_CHECK(states.size() == n,
-             "decode_step_batch: one state per token required");
-  std::vector<std::size_t> positions(n);
-  std::size_t max_ctx = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    APTQ_CHECK(states[i] != nullptr, "decode_step_batch: null state");
-    APTQ_CHECK(states[i]->config() == cfg,
-               "decode_step_batch: state built for a different model config");
-    for (std::size_t j = i + 1; j < n; ++j) {
-      APTQ_CHECK(states[i] != states[j],
-                 "decode_step_batch: duplicate state in batch");
-    }
-    decode_check_token(adapter, tokens[i]);
-    APTQ_CHECK(states[i]->pos() < states[i]->max_context(),
-               "decode_step_batch: context capacity exceeded (" +
-                   std::to_string(states[i]->pos()) +
-                   " positions cached, max_context " +
-                   std::to_string(states[i]->max_context()) +
+    const std::size_t n = segments[s].tokens.size();
+    APTQ_CHECK(n >= 1, "decode: empty input");
+    APTQ_CHECK(st->pos() + n <= st->max_context(),
+               "decode: context capacity exceeded (" +
+                   std::to_string(st->pos()) + " cached + " +
+                   std::to_string(n) + " new > max_context " +
+                   std::to_string(st->max_context()) +
                    "); the caller must evict or grow the state");
-    APTQ_CHECK(states[i]->try_reserve(1),
-               "decode_step_batch: KV pages exhausted; the caller must evict");
-    positions[i] = states[i]->pos();
-    max_ctx = std::max(max_ctx, positions[i] + 1);
+    for (const TokenId t : segments[s].tokens) {
+      APTQ_CHECK(t >= 0 && static_cast<std::size_t>(t) < cfg.vocab_size,
+                 "decode: token id out of range");
+    }
+    rows += n;
   }
+  std::vector<DecodeState*> row_state;
+  std::vector<std::size_t> row_pos;
+  row_state.reserve(rows);
+  row_pos.reserve(rows);
+  std::size_t max_ctx = 0;
+  for (const DecodeSegment& seg : segments) {
+    APTQ_CHECK(seg.state->try_reserve(seg.tokens.size()),
+               "decode: KV pages exhausted (" +
+                   std::to_string(seg.state->pages_held()) +
+                   " pages mapped); the caller must evict");
+    for (std::size_t j = 0; j < seg.tokens.size(); ++j) {
+      row_state.push_back(seg.state);
+      row_pos.push_back(seg.state->pos() + j);
+    }
+    max_ctx = std::max(max_ctx, seg.state->pos() + seg.tokens.size());
+  }
+
   const std::size_t d = cfg.dim;
   const std::size_t hd = cfg.head_dim();
+  const std::size_t n_heads = cfg.n_heads;
+  const std::size_t group_factor = cfg.group_factor();
   const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
-  const auto maybe_quant = [&options](Matrix& m) {
-    if (options.act_quant_bits > 0) {
-      fake_quant_rows(m, options.act_quant_bits);
-    }
-  };
 
-  Matrix x(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src =
-        adapter.embedding(static_cast<std::size_t>(tokens[i]));
-    std::copy(src.begin(), src.end(), x.row(i).begin());
+  Matrix x(rows, d);
+  {
+    std::size_t r = 0;
+    for (const DecodeSegment& seg : segments) {
+      for (const TokenId t : seg.tokens) {
+        const auto src = adapter.embedding(static_cast<std::size_t>(t));
+        std::copy(src.begin(), src.end(), x.row(r++).begin());
+      }
+    }
   }
 
   Matrix normed;
   std::vector<float> inv_rms;
-  // One scores row per (request, head) task so concurrent heads of the
-  // same request never share a buffer; sized once for the deepest context
-  // in the batch (ctx is fixed during the step).
-  Matrix scores_ws(n * cfg.n_heads, max_ctx);
+  // One scores row per (row, head) task so concurrent tasks never share a
+  // buffer, sized once for the deepest context in the call.
+  Matrix scores_ws(rows * n_heads, max_ctx);
   for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
     rmsnorm_forward(x, adapter.attn_norm(layer), cfg.norm_eps, normed,
                     inv_rms);
-    maybe_quant(normed);
-
-    Matrix q = adapter.project_batch(layer, LinearKind::q_proj, normed);
-    Matrix k = adapter.project_batch(layer, LinearKind::k_proj, normed);
-    const Matrix v = adapter.project_batch(layer, LinearKind::v_proj, normed);
-    rope_apply_rows(q, hd, positions, cfg.rope_theta);
-    rope_apply_rows(k, hd, positions, cfg.rope_theta);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::copy(k.row(i).begin(), k.row(i).end(),
-                states[i]->k_row(layer, positions[i]));
-      std::copy(v.row(i).begin(), v.row(i).end(),
-                states[i]->v_row(layer, positions[i]));
+    Matrix q = adapter.project(layer, LinearKind::q_proj, normed);
+    Matrix k = adapter.project(layer, LinearKind::k_proj, normed);
+    const Matrix v = adapter.project(layer, LinearKind::v_proj, normed);
+    rope_apply_rows(q, hd, row_pos, cfg.rope_theta);
+    rope_apply_rows(k, hd, row_pos, cfg.rope_theta);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy(k.row(r).begin(), k.row(r).end(),
+                row_state[r]->k_row(layer, row_pos[r]));
+      std::copy(v.row(r).begin(), v.row(r).end(),
+                row_state[r]->v_row(layer, row_pos[r]));
     }
 
-    Matrix attn_cat(n, d);
-    const std::size_t group_factor = cfg.group_factor();
-    const std::size_t tasks = n * cfg.n_heads;
-    // Flattened (request × head) sweep: each task runs decode_step_impl's
-    // per-head loop verbatim against its own state's paged rows and writes
-    // a disjoint attn_cat slice. Chunk boundaries depend only on the
-    // shape; the pool is skipped when it cannot realize parallelism.
+    Matrix attn_cat(rows, d);
+    // Flattened (row × head) sweep: each task reads its own state's paged
+    // rows and writes a disjoint attn_cat slice. Chunk boundaries depend
+    // only on the shape; the pool is skipped when it cannot help.
     const auto attend = [&](std::size_t tb, std::size_t te) {
       for (std::size_t task = tb; task < te; ++task) {
-        const std::size_t i = task / cfg.n_heads;
-        const std::size_t h = task % cfg.n_heads;
+        const std::size_t r = task / n_heads;
+        const std::size_t h = task % n_heads;
         const std::size_t g = h / group_factor;  // shared kv head (GQA)
-        const DecodeState& st = *states[i];
-        const std::size_t ctx = positions[i] + 1;
-        const float* qh = q.data() + i * d + h * hd;
+        const DecodeState& st = *row_state[r];
+        const std::size_t ctx = row_pos[r] + 1;
+        const float* qh = q.data() + r * d + h * hd;
         float* scores = scores_ws.data() + task * max_ctx;
         float max_s = -1e30f;
         for (std::size_t t = 0; t < ctx; ++t) {
@@ -601,7 +377,7 @@ Matrix decode_step_batch_impl(const Adapter& adapter,
           sum += scores[t];
         }
         const float inv_sum = 1.0f / sum;
-        float* out = attn_cat.data() + i * d + h * hd;
+        float* out = attn_cat.data() + r * d + h * hd;
         for (std::size_t t = 0; t < ctx; ++t) {
           const float p = scores[t] * inv_sum;
           const float* vh = st.v_row(layer, t) + g * hd;
@@ -611,187 +387,44 @@ Matrix decode_step_batch_impl(const Adapter& adapter,
         }
       }
     };
+    const std::size_t tasks = rows * n_heads;
     if (tasks > 1 && ThreadPool::effective_global_threads() > 1) {
       parallel_for(0, tasks, 1, attend);
     } else {
       attend(0, tasks);
     }
-    maybe_quant(attn_cat);
-    axpy(1.0f, adapter.project_batch(layer, LinearKind::o_proj, attn_cat), x);
+    axpy(1.0f, adapter.project(layer, LinearKind::o_proj, attn_cat), x);
 
     rmsnorm_forward(x, adapter.ffn_norm(layer), cfg.norm_eps, normed,
                     inv_rms);
-    maybe_quant(normed);
-    Matrix gate_pre =
-        adapter.project_batch(layer, LinearKind::gate_proj, normed);
-    const Matrix up = adapter.project_batch(layer, LinearKind::up_proj, normed);
+    Matrix gate_pre = adapter.project(layer, LinearKind::gate_proj, normed);
+    const Matrix up = adapter.project(layer, LinearKind::up_proj, normed);
     Matrix act;
     silu(gate_pre, act);
     for (std::size_t i = 0; i < act.size(); ++i) {
       act.flat()[i] *= up.flat()[i];
     }
-    maybe_quant(act);
-    axpy(1.0f, adapter.project_batch(layer, LinearKind::down_proj, act), x);
+    axpy(1.0f, adapter.project(layer, LinearKind::down_proj, act), x);
   }
 
   rmsnorm_forward(x, adapter.final_norm(), cfg.norm_eps, normed, inv_rms);
-  maybe_quant(normed);
-  Matrix logits = adapter.head_batch(normed);
-  for (std::size_t i = 0; i < n; ++i) {
-    states[i]->advance(1);
+  Matrix logits = adapter.head(normed);
+  for (const DecodeSegment& seg : segments) {
+    seg.state->advance(seg.tokens.size());
   }
   if (obs_start != 0) {
-    static auto& step_ms = obs::histogram("decode.step_batch_ms");
-    static auto& rows = obs::histogram("decode.step_batch_rows");
-    static auto& tokens_c = obs::counter("decode.tokens");
-    step_ms.record(static_cast<double>(obs::now_ns() - obs_start) * 1e-6);
-    rows.record(static_cast<double>(n));
-    tokens_c.add(n);
+    static auto& forward_ms = obs::histogram("decode.forward_ms");
+    static auto& forward_rows = obs::histogram("decode.forward_rows");
+    static auto& tokens = obs::counter("decode.tokens");
+    forward_ms.record(static_cast<double>(obs::now_ns() - obs_start) * 1e-6);
+    forward_rows.record(static_cast<double>(rows));
+    tokens.add(rows);
   }
   return logits;
 }
 
-// Batched verification of m candidate tokens on ONE session, bitwise
-// identical per row to m sequential decode_step_impl calls.
-//
-// Why this works: within a layer, the K/V row of batch row j depends only
-// on row j's layer input, which earlier (row-independent) stages computed
-// exactly as solo decoding would. So all m K/V rows of a layer can be
-// written before the attention sweep, and row j's sweep then reads context
-// [0, pos0 + j] — the prior context plus this batch's causal prefix —
-// through the same per-head dot4/softmax/accumulate fold as decode_step.
-// Projections ride the batched kernels (gemv_batch / qgemv_batch), whose
-// rows replay the solo fold bit-for-bit, which is what makes speculative
-// verification both cheaper than m solo steps and exactly equal to them.
-template <typename Adapter>
-Matrix decode_verify_impl(const Adapter& adapter,
-                          std::span<const TokenId> tokens, DecodeState& state,
-                          const ForwardOptions& options) {
-  const std::uint64_t obs_start =
-      obs::telemetry_enabled() ? obs::now_ns() : 0;
-  const ModelConfig& cfg = adapter.config();
-  const std::size_t m = tokens.size();
-  APTQ_CHECK(m >= 1, "decode_verify: empty candidate batch");
-  APTQ_CHECK(state.config() == cfg,
-             "decode_verify: state built for a different model config");
-  APTQ_CHECK(state.pos() + m <= state.max_context(),
-             "decode_verify: context capacity exceeded (" +
-                 std::to_string(state.pos()) + " cached + " +
-                 std::to_string(m) + " new > max_context " +
-                 std::to_string(state.max_context()) + ")");
-  APTQ_CHECK(state.try_reserve(m),
-             "decode_verify: KV pages exhausted; the caller must degrade k "
-             "or evict");
-  const std::size_t pos0 = state.pos();
-  const std::size_t d = cfg.dim;
-  const std::size_t hd = cfg.head_dim();
-  const std::size_t max_ctx = pos0 + m;
-  const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(hd));
-  const auto maybe_quant = [&options](Matrix& m_) {
-    if (options.act_quant_bits > 0) {
-      fake_quant_rows(m_, options.act_quant_bits);
-    }
-  };
-  std::vector<std::size_t> positions(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    decode_check_token(adapter, tokens[j]);
-    positions[j] = pos0 + j;
-  }
-
-  Matrix x(m, d);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto src = adapter.embedding(static_cast<std::size_t>(tokens[j]));
-    std::copy(src.begin(), src.end(), x.row(j).begin());
-  }
-
-  Matrix normed;
-  std::vector<float> inv_rms;
-  Matrix scores_ws(m * cfg.n_heads, max_ctx);
-  for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-    rmsnorm_forward(x, adapter.attn_norm(layer), cfg.norm_eps, normed,
-                    inv_rms);
-    maybe_quant(normed);
-
-    Matrix q = adapter.project_batch(layer, LinearKind::q_proj, normed);
-    Matrix k = adapter.project_batch(layer, LinearKind::k_proj, normed);
-    const Matrix v = adapter.project_batch(layer, LinearKind::v_proj, normed);
-    rope_apply_rows(q, hd, positions, cfg.rope_theta);
-    rope_apply_rows(k, hd, positions, cfg.rope_theta);
-    for (std::size_t j = 0; j < m; ++j) {
-      std::copy(k.row(j).begin(), k.row(j).end(),
-                state.k_row(layer, positions[j]));
-      std::copy(v.row(j).begin(), v.row(j).end(),
-                state.v_row(layer, positions[j]));
-    }
-
-    Matrix attn_cat(m, d);
-    const std::size_t group_factor = cfg.group_factor();
-    const std::size_t tasks = m * cfg.n_heads;
-    const auto attend = [&](std::size_t tb, std::size_t te) {
-      for (std::size_t task = tb; task < te; ++task) {
-        const std::size_t j = task / cfg.n_heads;
-        const std::size_t h = task % cfg.n_heads;
-        const std::size_t g = h / group_factor;  // shared kv head (GQA)
-        const std::size_t ctx = positions[j] + 1;
-        const float* qh = q.data() + j * d + h * hd;
-        float* scores = scores_ws.data() + task * max_ctx;
-        float max_s = -1e30f;
-        for (std::size_t t = 0; t < ctx; ++t) {
-          const float* kh = state.k_row(layer, t) + g * hd;
-          scores[t] = kern::dot4(qh, kh, hd) * inv_sqrt_hd;
-          max_s = std::max(max_s, scores[t]);
-        }
-        float sum = 0.0f;
-        for (std::size_t t = 0; t < ctx; ++t) {
-          scores[t] = std::exp(scores[t] - max_s);
-          sum += scores[t];
-        }
-        const float inv_sum = 1.0f / sum;
-        float* out = attn_cat.data() + j * d + h * hd;
-        for (std::size_t t = 0; t < ctx; ++t) {
-          const float p = scores[t] * inv_sum;
-          const float* vh = state.v_row(layer, t) + g * hd;
-          for (std::size_t c = 0; c < hd; ++c) {
-            out[c] += p * vh[c];
-          }
-        }
-      }
-    };
-    if (tasks > 1 && ThreadPool::effective_global_threads() > 1) {
-      parallel_for(0, tasks, 1, attend);
-    } else {
-      attend(0, tasks);
-    }
-    maybe_quant(attn_cat);
-    axpy(1.0f, adapter.project_batch(layer, LinearKind::o_proj, attn_cat), x);
-
-    rmsnorm_forward(x, adapter.ffn_norm(layer), cfg.norm_eps, normed,
-                    inv_rms);
-    maybe_quant(normed);
-    Matrix gate_pre =
-        adapter.project_batch(layer, LinearKind::gate_proj, normed);
-    const Matrix up = adapter.project_batch(layer, LinearKind::up_proj, normed);
-    Matrix act;
-    silu(gate_pre, act);
-    for (std::size_t i = 0; i < act.size(); ++i) {
-      act.flat()[i] *= up.flat()[i];
-    }
-    maybe_quant(act);
-    axpy(1.0f, adapter.project_batch(layer, LinearKind::down_proj, act), x);
-  }
-
-  rmsnorm_forward(x, adapter.final_norm(), cfg.norm_eps, normed, inv_rms);
-  maybe_quant(normed);
-  Matrix logits = adapter.head_batch(normed);
-  state.advance(m);
-  if (obs_start != 0) {
-    static auto& verify_ms = obs::histogram("decode.verify_ms");
-    static auto& verify_rows = obs::histogram("decode.verify_rows");
-    verify_ms.record(static_cast<double>(obs::now_ns() - obs_start) * 1e-6);
-    verify_rows.record(static_cast<double>(m));
-  }
-  return logits;
-}
+/// Row 0 of a one-row decode result, as decode_step returns it.
+std::vector<float> first_row(const Matrix& logits);
 
 }  // namespace detail
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace aptq::net {
@@ -425,13 +424,12 @@ PackedModel reassemble_packed(std::span<const ModelShard> shards) {
                                col_concat(head_parts), linears);
 }
 
-std::vector<std::uint8_t> encode_project(ProjectOp op, std::uint32_t layer,
+std::vector<std::uint8_t> encode_project(std::uint32_t layer,
                                          LinearKind kind, const Matrix& x,
                                          std::uint64_t trace_id,
                                          std::uint64_t parent_span_id) {
   std::ostringstream os(std::ios::binary);
   BinaryWriter w(os, "<project>");
-  w.write_u32(static_cast<std::uint32_t>(op));
   w.write_u32(layer);
   w.write_u32(static_cast<std::uint32_t>(kind));
   w.write_u64(trace_id);
@@ -447,10 +445,6 @@ ProjectRequest decode_project(std::span<const std::uint8_t> bytes) {
       std::ios::binary);
   BinaryReader r(is, bytes.size(), "<project>");
   ProjectRequest req;
-  const std::uint32_t op = r.read_u32();
-  APTQ_CHECK(op <= static_cast<std::uint32_t>(ProjectOp::batch),
-             "project: unknown op " + std::to_string(op));
-  req.op = static_cast<ProjectOp>(op);
   req.layer = r.read_u32();
   const std::uint32_t kind = r.read_u32();
   APTQ_CHECK(kind <= static_cast<std::uint32_t>(LinearKind::lm_head),
@@ -554,23 +548,14 @@ std::vector<WorkerSpan> decode_trace_spans(
 
 Matrix shard_project(const ModelShard& shard, const ProjectRequest& req) {
   const ModelConfig& cfg = shard.config;
-  // The op discriminator picks the same kernel family the solo adapters
-  // dispatch to, so every per-row fold is bit-identical to the
-  // single-process run (docs/SHARDING.md):
-  //   single → matmul / matmul_transposed (gemv, qgemv, qgemv_multi)
-  //   batch  → gemv_batch / qgemv_batch
+  // The solo adapters' kernels: every per-element fold reads only its own
+  // output column (dense) or weight row (packed), so a slice's results are
+  // bit-identical to the matching columns of the single-process run
+  // (docs/SHARDING.md). Both validate the input width.
   if (req.layer == kLmHeadLayer) {
     APTQ_CHECK(req.kind == LinearKind::lm_head,
                "project: head frame must carry lm_head kind");
-    const Matrix& w = shard.lm_head;
-    APTQ_CHECK(req.x.cols() == w.rows(), "project: lm head width mismatch");
-    if (req.op == ProjectOp::single) {
-      return matmul_col_shard(req.x, w, cfg.vocab_size);
-    }
-    Matrix out(req.x.rows(), w.cols());
-    kern::gemv_batch(req.x.data(), w.data(), req.x.rows(), req.x.cols(),
-                     w.cols(), out.data());
-    return out;
+    return matmul_rowwise(req.x, shard.lm_head);
   }
   APTQ_CHECK(req.layer < cfg.n_layers, "project: layer out of range");
   APTQ_CHECK(req.kind != LinearKind::lm_head,
@@ -579,24 +564,11 @@ Matrix shard_project(const ModelShard& shard, const ProjectRequest& req) {
       static_cast<std::size_t>(req.layer) * 7 +
       static_cast<std::size_t>(req.kind);
   if (shard.kind == ShardKind::dense) {
-    const Matrix& w = shard.dense[slot];
-    APTQ_CHECK(req.x.cols() == w.rows(), "project: input width mismatch");
-    if (req.op == ProjectOp::single) {
-      return matmul_col_shard(req.x, w, linear_out_features(cfg, req.kind));
-    }
-    Matrix out(req.x.rows(), w.cols());
-    kern::gemv_batch(req.x.data(), w.data(), req.x.rows(), req.x.cols(),
-                     w.cols(), out.data());
-    return out;
+    return matmul_rowwise(req.x, shard.dense[slot]);
   }
   const QuantizedLinear& lin = shard.packed[slot];
   APTQ_CHECK(req.x.cols() == lin.cols(), "project: input width mismatch");
-  if (req.op == ProjectOp::single) {
-    return lin.matmul_transposed(req.x);
-  }
-  Matrix out(req.x.rows(), lin.rows());
-  lin.matvec_transposed_batch(req.x, out);
-  return out;
+  return lin.matmul_transposed(req.x);
 }
 
 std::vector<std::uint8_t> encode_matrix(const Matrix& m) {

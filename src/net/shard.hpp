@@ -35,10 +35,12 @@ namespace aptq::net {
 
 // v2: hello_ack carries the worker's clock (for cross-process trace
 // merging), project frames carry a (trace_id, parent_span_id) context,
-// and trace_flush/trace_data ship worker span buffers to the root. v1
-// peers are rejected at the handshake with a clean error_report in both
+// and trace_flush/trace_data ship worker span buffers to the root.
+// v3: project frames lose their op word — every projection runs the
+// batched kernel family, so there is nothing left to choose. Older peers
+// are rejected at the handshake with a clean error_report in both
 // directions (docs/SHARDING.md).
-inline constexpr std::uint32_t kProtoVersion = 2;
+inline constexpr std::uint32_t kProtoVersion = 3;
 inline constexpr std::uint32_t kShardMagic = 0x41505153u;  // "APQS"
 inline constexpr std::uint32_t kShardVersion = 1;
 /// `layer` value addressing the lm head instead of a block projection.
@@ -114,18 +116,11 @@ ModelShard shard_from_bytes(std::span<const std::uint8_t> bytes);
 Model reassemble_dense(std::span<const ModelShard> shards);
 PackedModel reassemble_packed(std::span<const ModelShard> shards);
 
-/// Which kernel family the worker must replay, so its per-row folds match
-/// the solo adapter's: `single` mirrors project()/head() (matmul /
-/// matmul_transposed), `batch` mirrors project_batch()/head_batch()
-/// (gemv_batch / qgemv_batch).
-enum class ProjectOp : std::uint32_t { single = 0, batch = 1 };
-
-/// One projection request: run `op` for (layer, kind) on input x and
-/// return the worker's output slice. trace_id/parent_span_id propagate
-/// the root's trace context (proto v2); trace_id == 0 means tracing is
-/// off and the worker records nothing.
+/// One projection request: run (layer, kind) on input x and return the
+/// worker's output slice. trace_id/parent_span_id propagate the root's
+/// trace context; trace_id == 0 means tracing is off and the worker
+/// records nothing.
 struct ProjectRequest {
-  ProjectOp op = ProjectOp::single;
   std::uint32_t layer = 0;  ///< block index, or kLmHeadLayer
   LinearKind kind = LinearKind::q_proj;
   std::uint64_t trace_id = 0;
@@ -133,14 +128,14 @@ struct ProjectRequest {
   Matrix x;
 };
 
-std::vector<std::uint8_t> encode_project(ProjectOp op, std::uint32_t layer,
+std::vector<std::uint8_t> encode_project(std::uint32_t layer,
                                          LinearKind kind, const Matrix& x,
                                          std::uint64_t trace_id = 0,
                                          std::uint64_t parent_span_id = 0);
 ProjectRequest decode_project(std::span<const std::uint8_t> bytes);
 
-/// hello_ack payload (proto v2): the accepted version plus the worker's
-/// observability clock at ack time, which the root pairs with its own
+/// hello_ack payload (proto v2 and up): the accepted version plus the
+/// worker's observability clock at ack time, which the root pairs with its own
 /// send/recv clocks to estimate the worker's clock offset (the midpoint
 /// method; see docs/OBSERVABILITY.md).
 struct HelloAck {
@@ -179,8 +174,8 @@ std::vector<std::uint8_t> encode_trace_spans(
 std::vector<WorkerSpan> decode_trace_spans(
     std::span<const std::uint8_t> bytes);
 
-/// Run one projection request against a shard, replaying the exact kernel
-/// entry points the solo decode adapters use (worker side of the RPC).
+/// Run one projection request against a shard through the same batched
+/// kernels the solo decode adapters use (worker side of the RPC).
 Matrix shard_project(const ModelShard& shard, const ProjectRequest& req);
 
 /// Matrix payloads (project_out frames).

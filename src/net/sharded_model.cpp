@@ -155,8 +155,8 @@ void ShardedModel::shutdown() {
   }
 }
 
-Matrix ShardedModel::broadcast(ProjectOp op, std::uint32_t layer,
-                               LinearKind kind, const Matrix& x) {
+Matrix ShardedModel::broadcast(std::uint32_t layer, LinearKind kind,
+                               const Matrix& x) {
   APTQ_CHECK(live_, "sharded model: session is shut down");
   // When tracing, this broadcast becomes one trace: the root-side span is
   // both trace root and parent of every worker's recv/compute/send. Ids
@@ -171,7 +171,7 @@ Matrix ShardedModel::broadcast(ProjectOp op, std::uint32_t layer,
   obs::TraceSpan span(rpc_span_name(layer, kind), "rpc");
   // One encode serves every worker: all shards see the full input.
   const std::vector<std::uint8_t> payload =
-      encode_project(op, layer, kind, x, trace_id, trace_id);
+      encode_project(layer, kind, x, trace_id, trace_id);
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     send_frame(*workers_[w], MsgType::project, payload);
     links_[w].bytes_sent += kFrameHeaderBytes + payload.size();
@@ -202,22 +202,11 @@ Matrix ShardedModel::broadcast(ProjectOp op, std::uint32_t layer,
 
 Matrix ShardedModel::project(std::size_t layer, LinearKind kind,
                              const Matrix& x) {
-  return broadcast(ProjectOp::single, static_cast<std::uint32_t>(layer),
-                   kind, x);
-}
-
-Matrix ShardedModel::project_batch(std::size_t layer, LinearKind kind,
-                                   const Matrix& x) {
-  return broadcast(ProjectOp::batch, static_cast<std::uint32_t>(layer),
-                   kind, x);
+  return broadcast(static_cast<std::uint32_t>(layer), kind, x);
 }
 
 Matrix ShardedModel::head(const Matrix& x) {
-  return broadcast(ProjectOp::single, kLmHeadLayer, LinearKind::lm_head, x);
-}
-
-Matrix ShardedModel::head_batch(const Matrix& x) {
-  return broadcast(ProjectOp::batch, kLmHeadLayer, LinearKind::lm_head, x);
+  return broadcast(kLmHeadLayer, LinearKind::lm_head, x);
 }
 
 namespace {
@@ -242,39 +231,27 @@ struct ShardedDecodeAdapter {
   Matrix project(std::size_t layer, LinearKind kind, const Matrix& x) const {
     return model->project(layer, kind, x);
   }
-  Matrix project_batch(std::size_t layer, LinearKind kind,
-                       const Matrix& x) const {
-    return model->project_batch(layer, kind, x);
-  }
   Matrix head(const Matrix& x) const { return model->head(x); }
-  Matrix head_batch(const Matrix& x) const { return model->head_batch(x); }
 };
 
 }  // namespace
 
 Matrix decode_prefill(ShardedModel& model, std::span<const TokenId> tokens,
                       DecodeState& state) {
-  const ShardedDecodeAdapter adapter{&model};
-  return detail::decode_prefill_impl(adapter, tokens, state, {});
+  const DecodeSegment segment{&state, tokens};
+  return detail::decode_forward(ShardedDecodeAdapter{&model}, {&segment, 1});
 }
 
 std::vector<float> decode_step(ShardedModel& model, TokenId token,
                                DecodeState& state) {
-  const ShardedDecodeAdapter adapter{&model};
-  return detail::decode_step_impl(adapter, token, state, {});
+  return detail::first_row(decode_prefill(model, {&token, 1}, state));
 }
 
 Matrix decode_step_batch(ShardedModel& model,
                          std::span<const TokenId> tokens,
                          std::span<DecodeState* const> states) {
-  const ShardedDecodeAdapter adapter{&model};
-  return detail::decode_step_batch_impl(adapter, tokens, states, {});
-}
-
-Matrix decode_verify(ShardedModel& model, std::span<const TokenId> tokens,
-                     DecodeState& state) {
-  const ShardedDecodeAdapter adapter{&model};
-  return detail::decode_verify_impl(adapter, tokens, state, {});
+  return detail::decode_forward(ShardedDecodeAdapter{&model},
+                                detail::step_segments(tokens, states));
 }
 
 serve::Backend make_backend(ShardedModel& model) {
@@ -284,15 +261,9 @@ serve::Backend make_backend(ShardedModel& model) {
   b.prefill = [&model](std::span<const TokenId> tokens, DecodeState& state) {
     return decode_prefill(model, tokens, state);
   };
-  b.step = [&model](TokenId token, DecodeState& state) {
-    return decode_step(model, token, state);
-  };
   b.step_batch = [&model](std::span<const TokenId> tokens,
                           std::span<DecodeState* const> states) {
     return decode_step_batch(model, tokens, states);
-  };
-  b.verify = [&model](std::span<const TokenId> tokens, DecodeState& state) {
-    return decode_verify(model, tokens, state);
   };
   return b;
 }

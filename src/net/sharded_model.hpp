@@ -2,8 +2,7 @@
 // remote workers while everything else — embeddings, norms, rope,
 // attention over the KV cache, sampling — stays local. ShardedModel
 // satisfies the decode adapter contract of model/decode.hpp, so the
-// shared prefill/step/step_batch engine (and therefore ServeEngine) runs
-// on it unchanged; every projection is a broadcast of the full input to
+// shared decode forward (and therefore ServeEngine) runs on it unchanged; every projection is a broadcast of the full input to
 // all workers followed by a positional gather of output slices, which
 // keeps N-worker token streams byte-identical to solo decode
 // (docs/SHARDING.md).
@@ -90,9 +89,7 @@ class ShardedModel {
   std::span<const float> final_norm() const { return final_norm_; }
 
   Matrix project(std::size_t layer, LinearKind kind, const Matrix& x);
-  Matrix project_batch(std::size_t layer, LinearKind kind, const Matrix& x);
   Matrix head(const Matrix& x);
-  Matrix head_batch(const Matrix& x);
 
  private:
   void attach(std::vector<std::unique_ptr<Stream>> workers,
@@ -100,8 +97,7 @@ class ShardedModel {
                   shard_for);
   /// Broadcast one request to every worker, then gather the output
   /// slices in worker order into the full (rows × out_features) result.
-  Matrix broadcast(ProjectOp op, std::uint32_t layer, LinearKind kind,
-                   const Matrix& x);
+  Matrix broadcast(std::uint32_t layer, LinearKind kind, const Matrix& x);
 
   ModelConfig config_;
   std::string base_name_;
@@ -128,8 +124,6 @@ std::vector<float> decode_step(ShardedModel& model, TokenId token,
 Matrix decode_step_batch(ShardedModel& model,
                          std::span<const TokenId> tokens,
                          std::span<DecodeState* const> states);
-Matrix decode_verify(ShardedModel& model, std::span<const TokenId> tokens,
-                     DecodeState& state);
 
 /// ServeEngine backend over a sharded model (name "sharded_dense" /
 /// "sharded_packed"). The model must outlive the backend.

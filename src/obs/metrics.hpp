@@ -16,7 +16,7 @@
 //
 // Naming scheme (see docs/OBSERVABILITY.md): dot-separated
 // `<subsystem>.<what>[_<unit>]`, e.g. "gptq.cols_quantized",
-// "decode.step_ms", "eval.tokens".
+// "decode.forward_ms", "eval.tokens".
 //
 // Quantization telemetry: layer_stat(layer, key, value) upserts one
 // numeric fact about one layer ("hessian.avg_trace", "alloc.bits",

@@ -44,9 +44,7 @@ Matrix read_matrix(BinaryReader& r) {
 }
 
 // Weight access over packed linears for the shared decode engine (see the
-// adapter contract in model/decode.hpp). Multi-row projections go through
-// the fused dequantize-GEMM; single-row ones hit the GEMV kernel inside
-// matmul_transposed.
+// adapter contract in model/decode.hpp).
 class PackedDecodeAdapter {
  public:
   explicit PackedDecodeAdapter(const PackedModel& model) : model_(model) {}
@@ -64,55 +62,15 @@ class PackedDecodeAdapter {
   std::span<const float> final_norm() const { return model_.final_norm(); }
 
   Matrix project(std::size_t layer, LinearKind kind, const Matrix& x) const {
-    const std::size_t base = layer * 7;
-    std::size_t idx = 0;
-    switch (kind) {
-      case LinearKind::q_proj: idx = 0; break;
-      case LinearKind::k_proj: idx = 1; break;
-      case LinearKind::v_proj: idx = 2; break;
-      case LinearKind::o_proj: idx = 3; break;
-      case LinearKind::gate_proj: idx = 4; break;
-      case LinearKind::up_proj: idx = 5; break;
-      case LinearKind::down_proj: idx = 6; break;
-      case LinearKind::lm_head:
-        APTQ_FAIL("PackedDecodeAdapter: unexpected projection kind");
-    }
-    return model_.linears()[base + idx].matmul_transposed(x);
+    APTQ_CHECK(kind != LinearKind::lm_head,
+               "PackedDecodeAdapter: unexpected projection kind");
+    // collect_linears order (q,k,v,o,gate,up,down) is LinearKind order.
+    return model_.linears()[layer * 7 + static_cast<std::size_t>(kind)]
+        .matmul_transposed(x);
   }
 
-  Matrix head(const Matrix& x) const { return matmul(x, model_.lm_head()); }
-
-  // Batched projections for continuous-batching decode: row i of the result
-  // is bitwise identical to project()/head() on row i alone (see
-  // QuantizedLinear::matvec_transposed_batch and kern::gemv_batch).
-  Matrix project_batch(std::size_t layer, LinearKind kind,
-                       const Matrix& x) const {
-    const std::size_t base = layer * 7;
-    std::size_t idx = 0;
-    switch (kind) {
-      case LinearKind::q_proj: idx = 0; break;
-      case LinearKind::k_proj: idx = 1; break;
-      case LinearKind::v_proj: idx = 2; break;
-      case LinearKind::o_proj: idx = 3; break;
-      case LinearKind::gate_proj: idx = 4; break;
-      case LinearKind::up_proj: idx = 5; break;
-      case LinearKind::down_proj: idx = 6; break;
-      case LinearKind::lm_head:
-        APTQ_FAIL("PackedDecodeAdapter: unexpected projection kind");
-    }
-    const QuantizedLinear& lin = model_.linears()[base + idx];
-    Matrix out(x.rows(), lin.rows());
-    lin.matvec_transposed_batch(x, out);
-    return out;
-  }
-
-  Matrix head_batch(const Matrix& x) const {
-    const Matrix& w = model_.lm_head();
-    APTQ_CHECK(x.cols() == w.rows(), "head_batch: shape mismatch");
-    Matrix out(x.rows(), w.cols());
-    kern::gemv_batch(x.data(), w.data(), x.rows(), x.cols(), w.cols(),
-                     out.data());
-    return out;
+  Matrix head(const Matrix& x) const {
+    return matmul_rowwise(x, model_.lm_head());
   }
 
  private:
@@ -319,35 +277,23 @@ PackedModel PackedModel::load(const std::string& path) {
 Matrix decode_prefill(const PackedModel& model, std::span<const TokenId> tokens,
                       DecodeState& state) {
   APTQ_CHECK(model.linears().size() == model.config().n_layers * 7,
-             "decode_prefill: packed model not initialized");
-  return detail::decode_prefill_impl(PackedDecodeAdapter(model), tokens, state,
-                                     ForwardOptions{});
+             "decode: packed model not initialized");
+  const DecodeSegment segment{&state, tokens};
+  return detail::decode_forward(PackedDecodeAdapter(model), {&segment, 1});
 }
 
 std::vector<float> decode_step(const PackedModel& model, TokenId token,
                                DecodeState& state) {
-  APTQ_CHECK(model.linears().size() == model.config().n_layers * 7,
-             "decode_step: packed model not initialized");
-  return detail::decode_step_impl(PackedDecodeAdapter(model), token, state,
-                                  ForwardOptions{});
+  return detail::first_row(decode_prefill(model, {&token, 1}, state));
 }
 
 Matrix decode_step_batch(const PackedModel& model,
                          std::span<const TokenId> tokens,
-                         std::span<DecodeState* const> states,
-                         const ForwardOptions& options) {
+                         std::span<DecodeState* const> states) {
   APTQ_CHECK(model.linears().size() == model.config().n_layers * 7,
-             "decode_step_batch: packed model not initialized");
-  return detail::decode_step_batch_impl(PackedDecodeAdapter(model), tokens,
-                                        states, options);
-}
-
-Matrix decode_verify(const PackedModel& model, std::span<const TokenId> tokens,
-                     DecodeState& state, const ForwardOptions& options) {
-  APTQ_CHECK(model.linears().size() == model.config().n_layers * 7,
-             "decode_verify: packed model not initialized");
-  return detail::decode_verify_impl(PackedDecodeAdapter(model), tokens, state,
-                                    options);
+             "decode: packed model not initialized");
+  return detail::decode_forward(PackedDecodeAdapter(model),
+                                detail::step_segments(tokens, states));
 }
 
 TokenSeq sample_from_packed(const PackedModel& model, std::size_t length,

@@ -8,9 +8,10 @@
 // tests bound the resulting logit drift and perplexity delta.
 //
 // Incremental decoding: PackedModel plugs into the shared KV-cache engine
-// (model/decode.hpp) via the decode_prefill / decode_step overloads below;
-// single-token steps hit the packed GEMV kernel
-// (QuantizedLinear::matvec_transposed). See docs/DECODING.md.
+// (model/decode.hpp) via the decode_prefill / decode_step /
+// decode_step_batch overloads below, whose projections run the fused
+// dequant-dot kernels (QuantizedLinear::matvec_transposed_batch). See
+// docs/DECODING.md.
 #pragma once
 
 #include <map>
@@ -97,31 +98,19 @@ class PackedModel {
   std::vector<QuantizedLinear> linears_;
 };
 
-/// Batched prefill over packed weights: appends `tokens` to the context
-/// and returns their (T × V) logits.
+/// The model/decode.hpp entry points over packed weights, with the same
+/// contracts: prefill row j is bitwise identical to the j-th of T
+/// sequential decode_step calls, and decode_step_batch row i to
+/// decode_step(model, tokens[i], *states[i]). Projections ride
+/// QuantizedLinear::matvec_transposed_batch, which unpacks each weight
+/// row's codes once per call.
 Matrix decode_prefill(const PackedModel& model, std::span<const TokenId> tokens,
                       DecodeState& state);
-
-/// One incremental step over packed weights via the GEMV kernel: appends
-/// `token` and returns its next-token logits.
 std::vector<float> decode_step(const PackedModel& model, TokenId token,
                                DecodeState& state);
-
-/// One incremental step for a batch of independent requests over packed
-/// weights: row i of the returned (batch × V) logits is bitwise identical
-/// to decode_step(model, tokens[i], *states[i]). Projections ride
-/// kern::qgemv_batch, which unpacks each weight row's codes once per batch.
 Matrix decode_step_batch(const PackedModel& model,
                          std::span<const TokenId> tokens,
-                         std::span<DecodeState* const> states,
-                         const ForwardOptions& options = {});
-
-/// Speculative verification over packed weights: row j of the returned
-/// (m × V) logits is bitwise identical to the j-th of m sequential
-/// decode_step(model, tokens[j], state) calls (see the dense
-/// decode_verify contract in model/decode.hpp).
-Matrix decode_verify(const PackedModel& model, std::span<const TokenId> tokens,
-                     DecodeState& state, const ForwardOptions& options = {});
+                         std::span<DecodeState* const> states);
 
 /// Sample `length` tokens autoregressively from a packed model (same loop
 /// and RNG consumption as sample_from_model, running on packed weights).

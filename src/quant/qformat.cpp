@@ -341,47 +341,8 @@ Matrix QuantizedLinear::dequantize() const {
 }
 
 Matrix QuantizedLinear::matmul_transposed(const Matrix& x) const {
-  APTQ_CHECK(x.cols() == cols_, "QuantizedLinear: input width mismatch");
   Matrix out(x.rows(), rows_);
-  if (x.rows() == 1) {
-    // Decode hot path: one token per call — fused GEMV, no row
-    // materialization.
-    matvec_transposed(x.row(0), out.row(0));
-    return out;
-  }
-  if (has_kernel_path()) {
-    // Each weight row is unpacked once and shared across the whole batch.
-    kern::qgemv_multi(block_view(), x.data(), x.rows(), out.data());
-    return out;
-  }
-  // Scalar fallback (fp4 and 1-bit). Output rows are
-  // independent: split them across the pool (fixed grain, disjoint writes —
-  // bitwise identical at any thread count).
-  parallel_for(0, rows_, 8, [&](std::size_t rb, std::size_t re) {
-    std::vector<float> buf(cols_);
-    for (std::size_t r = rb; r < re; ++r) {
-      // Dequantize one weight row, then dot it with every input row.
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const GroupParams& p = group_params_[r * groups_ + c / group_len_];
-        const auto code = static_cast<std::int32_t>(code_at(r, c));
-        if (spec_.format == QFormat::fp4_e2m1) {
-          const float mag =
-              fp4_magnitudes()[static_cast<std::size_t>(code & 7)];
-          buf[c] = ((code >> 3) != 0 ? -mag : mag) * p.scale;
-        } else {
-          buf[c] = dequantize_value(code, p);
-        }
-      }
-      for (std::size_t n = 0; n < x.rows(); ++n) {
-        const float* xr = x.data() + n * cols_;
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < cols_; ++c) {
-          acc += xr[c] * buf[c];
-        }
-        out(n, r) = acc;
-      }
-    }
-  });
+  matvec_transposed_batch(x, out);
   return out;
 }
 

@@ -108,24 +108,20 @@ class QuantizedLinear {
   Matrix dequantize() const;
 
   /// Fused dequantize-then-multiply: returns x · Wᵀ_dq for x of shape
-  /// (n × in_features). Affine codes of 2 bits and up ride
-  /// kern::qgemv_multi (each row unpacked once per batch); single-row
-  /// inputs route through matvec_transposed.
+  /// (n × in_features) — matvec_transposed_batch into a fresh matrix.
   Matrix matmul_transposed(const Matrix& x) const;
 
   /// Fused dequantize GEMV: y[r] = Σ_c x[c] · W_dq(r, c), for x of length
-  /// in_features and y of length out_features — the per-token decode hot
-  /// path, served by the vectorized kern::qgemv for affine codes of 2 bits
-  /// and up.
+  /// in_features and y of length out_features, served by the vectorized
+  /// kern::qgemv for affine codes of 2 bits and up.
   void matvec_transposed(std::span<const float> x, std::span<float> y) const;
 
-  /// Batched matvec for continuous-batching decode: y(i,:) for input row
-  /// x(i,:) is bitwise identical to matvec_transposed(x.row(i), y.row(i)).
-  /// The kernel path (kern::qgemv_batch) unpacks each weight row's codes
-  /// once and reuses the floats across all batch rows while replaying the
-  /// solo qgemv fold per row — unlike matmul_transposed, whose
-  /// qgemv_multi fold differs from qgemv. x is (batch × in_features), y
-  /// must be preallocated (batch × out_features).
+  /// Batched matvec: y(i,:) for input row x(i,:) is bitwise identical to
+  /// matvec_transposed(x.row(i), y.row(i)). The kernel path
+  /// (kern::qgemv_batch) unpacks each weight row's codes once and reuses
+  /// the floats across all batch rows while replaying the solo qgemv fold
+  /// per row. x is (batch × in_features), y must be preallocated
+  /// (batch × out_features).
   void matvec_transposed_batch(const Matrix& x, Matrix& y) const;
 
   /// True when this layer's codes are served by the vectorized blocked

@@ -19,32 +19,27 @@ class PackedModel;  // full definition only needed by make_backend's impl
 namespace aptq::serve {
 
 /// Type-erased decode backend: the engine drives any model that offers
-/// prefill/step over a DecodeState. The callables borrow the model — it
-/// must outlive the backend. step_batch advances one token for each of a
-/// batch of independent requests in a single forward pass (row i of the
-/// returned logits is bitwise identical to step on request i alone); the
-/// engine feeds every in-flight request through it, so the batched
-/// kernels see all rows at once and the pool parallelizes inside the
-/// GEMMs instead of across requests. verify consumes m candidate tokens
-/// on ONE session with row j bitwise identical to the j-th of m
-/// sequential step calls (the speculative-decoding verifier; see
-/// decode_verify in model/decode.hpp). Backends that cannot offer it
-/// leave it empty — the engine then rejects speculative requests at
-/// submit().
+/// the two decode entry points over a DecodeState. The callables borrow the
+/// model — it must outlive the backend. prefill appends tokens to one
+/// session, row j bitwise identical to the j-th of as many one-token
+/// calls: the engine prefills prompts with it, the speculative verifier
+/// scores its candidates with it, and the draft chains its proposals
+/// through it. step_batch advances one token for each of a batch of
+/// independent sessions in a single forward pass (row i bitwise identical
+/// to a one-token prefill of session i alone), so the batched kernels see
+/// every in-flight row at once. See model/decode.hpp.
 struct Backend {
   std::string name;  ///< "dense" / "packed" (report + bench labels)
   ModelConfig config;
   std::function<Matrix(std::span<const TokenId>, DecodeState&)> prefill;
-  std::function<std::vector<float>(TokenId, DecodeState&)> step;
   std::function<Matrix(std::span<const TokenId>,
                        std::span<DecodeState* const>)>
       step_batch;
-  std::function<Matrix(std::span<const TokenId>, DecodeState&)> verify;
 };
 
 /// Backend over the dense fp32 model.
 Backend make_backend(const Model& model);
-/// Backend over the bit-packed model (steps hit the fused dequant GEMV).
+/// Backend over the bit-packed model (the fused dequant-dot kernels).
 Backend make_backend(const PackedModel& model);
 
 }  // namespace aptq::serve

@@ -33,15 +33,9 @@ Backend make_backend(const Model& model) {
   b.prefill = [&model](std::span<const TokenId> tokens, DecodeState& state) {
     return decode_prefill(model, tokens, state);
   };
-  b.step = [&model](TokenId token, DecodeState& state) {
-    return decode_step(model, token, state);
-  };
   b.step_batch = [&model](std::span<const TokenId> tokens,
                           std::span<DecodeState* const> states) {
     return decode_step_batch(model, tokens, states);
-  };
-  b.verify = [&model](std::span<const TokenId> tokens, DecodeState& state) {
-    return decode_verify(model, tokens, state);
   };
   return b;
 }
@@ -53,15 +47,9 @@ Backend make_backend(const PackedModel& model) {
   b.prefill = [&model](std::span<const TokenId> tokens, DecodeState& state) {
     return decode_prefill(model, tokens, state);
   };
-  b.step = [&model](TokenId token, DecodeState& state) {
-    return decode_step(model, token, state);
-  };
   b.step_batch = [&model](std::span<const TokenId> tokens,
                           std::span<DecodeState* const> states) {
     return decode_step_batch(model, tokens, states);
-  };
-  b.verify = [&model](std::span<const TokenId> tokens, DecodeState& state) {
-    return decode_verify(model, tokens, state);
   };
   return b;
 }
@@ -73,15 +61,13 @@ ServeEngine::ServeEngine(Backend backend, const ServeConfig& config)
             config.kv_slots == 0 ? config.max_batch : config.kv_slots,
             config.kv_page_positions, config.kv_pages) {
   APTQ_CHECK(config_.max_batch >= 1, "ServeEngine: max_batch must be >= 1");
-  APTQ_CHECK(backend_.prefill && backend_.step && backend_.step_batch,
-             "ServeEngine: backend missing prefill/step/step_batch");
+  APTQ_CHECK(backend_.prefill && backend_.step_batch,
+             "ServeEngine: backend missing prefill/step_batch");
 }
 
 ServeEngine::ServeEngine(Backend backend, const ServeConfig& config,
                          SpecConfig spec)
     : ServeEngine(std::move(backend), config) {
-  APTQ_CHECK(backend_.verify,
-             "ServeEngine: speculative decoding needs a backend with verify");
   spec_ = std::make_unique<SpecDecoder>(std::move(spec), config_.max_context);
 }
 
@@ -253,7 +239,7 @@ TokenId ServeEngine::sample_and_stop(Active& a, std::vector<float> logits,
 }
 
 // One speculative cycle: the draft proposes up to k tokens continuing the
-// request's stream, a single decode_verify pass scores the pending input
+// request's stream, a single prefill pass scores the pending input
 // plus every proposal, and the accept loop samples those rows in order with
 // the request's RNG — draw-for-draw the sequence solo decoding would have
 // drawn — until a stop rule fires or a proposal is contradicted (the
@@ -296,7 +282,7 @@ std::size_t ServeEngine::spec_cycle(Active& a) {
   }
 
   const Timer verify_timer;
-  const Matrix logits = backend_.verify(inputs, *a.state);
+  const Matrix logits = backend_.prefill(inputs, *a.state);
   const double verify_ms = verify_timer.millis();
   a.decode_ms += verify_ms;
   a.spec_verify_ms += verify_ms;

@@ -56,8 +56,8 @@ class ServeEngine {
   /// Engine with speculative decoding available: requests that set
   /// Request::speculative decode through draft-propose / batched-verify
   /// cycles (emitting the exact same token streams, usually in fewer
-  /// target passes); other requests are served as usual. Requires the
-  /// target backend to provide verify.
+  /// target passes; the verify pass is the target's prefill); other
+  /// requests are served as usual.
   ServeEngine(Backend backend, const ServeConfig& config, SpecConfig spec);
 
   /// Enqueue one request; returns its id. Throws aptq::Error on invalid

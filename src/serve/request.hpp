@@ -72,7 +72,7 @@ struct GenerationResult {
   std::size_t spec_proposed = 0;   ///< draft tokens offered
   std::size_t spec_accepted = 0;   ///< draft tokens accepted
   double spec_draft_ms = 0.0;      ///< time in draft propose()
-  double spec_verify_ms = 0.0;     ///< time in decode_verify passes
+  double spec_verify_ms = 0.0;     ///< time in verify (prefill) passes
 };
 
 /// Engine sizing. Defaults suit the sim-scale models; production values

@@ -24,8 +24,8 @@ TokenId argmax_token(std::span<const float> logits) {
 SpecDecoder::SpecDecoder(SpecConfig config, std::size_t max_context)
     : config_(std::move(config)), max_context_(max_context) {
   APTQ_CHECK(config_.k >= 1, "SpecDecoder: k must be >= 1");
-  APTQ_CHECK(config_.draft.prefill && config_.draft.step,
-             "SpecDecoder: draft backend missing prefill/step");
+  APTQ_CHECK(config_.draft.prefill,
+             "SpecDecoder: draft backend missing prefill");
   APTQ_CHECK(max_context_ >= 1, "SpecDecoder: max_context must be >= 1");
 }
 
@@ -72,9 +72,9 @@ std::vector<TokenId> SpecDecoder::propose(RequestId id,
   for (std::size_t j = 1; j < k; ++j) {
     // Chain: the draft consumes its own previous proposal. Proposals are
     // tentative context — commit() decides how much of it survives.
-    const std::vector<float> logits =
-        config_.draft.step(proposals[j - 1], *s.state);
-    proposals.push_back(argmax_token(logits));
+    const Matrix logits =
+        config_.draft.prefill({&proposals[j - 1], 1}, *s.state);
+    proposals.push_back(argmax_token(logits.row(0)));
   }
   stats_.draft_ms += draft_timer.millis();
   return proposals;

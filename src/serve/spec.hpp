@@ -1,10 +1,10 @@
 // Speculative decoding for the serving engine: a cheap draft model
 // proposes k greedy tokens per cycle, the target backend verifies all of
-// them in one batched decode_verify pass, and exact accept/reject keeps
+// them in one batched decode_prefill pass, and exact accept/reject keeps
 // the emitted stream bitwise identical to non-speculative decoding.
 //
 // Exactness argument (docs/SERVING.md has the long form): verify row j is
-// bitwise identical to the logits a solo decode_step would produce after
+// bitwise identical to the logits a one-token decode would produce after
 // consuming the same prefix, and the engine samples row j with the same
 // sample_token call and the same per-request RNG draw order as solo
 // decoding. The sampled token t_j either equals proposal d_{j+1} — the
@@ -51,7 +51,7 @@ struct SpecStats {
   std::uint64_t accepted = 0;   ///< proposals that matched the target
   std::uint64_t emitted = 0;    ///< tokens emitted by spec cycles
   double draft_ms = 0.0;        ///< total propose() time
-  double verify_ms = 0.0;       ///< total decode_verify time
+  double verify_ms = 0.0;       ///< total verify (target prefill) time
 
   double accept_rate() const {
     return proposed > 0

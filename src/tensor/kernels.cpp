@@ -1193,50 +1193,6 @@ void qgemv(const QBlock& q, const float* x, float* y) {
   }
 }
 
-void qgemv_multi(const QBlock& q, const float* x, std::size_t n, float* y) {
-  // Same prescaled-panel strategy as qgemv_batch below: widen each row's
-  // codes to scale·code floats once, then run the group-fold dot per input
-  // (in fused pairs) against the panel. This replaced a materialized
-  // affine dequant plus a dense dot per input — the quantized fold is a
-  // different (equally tolerance-bounded) reassociation of the same sum,
-  // and per-row work no longer grows with the affine unpack. Results stay
-  // a pure function of shape and inputs, never of the chunking.
-  std::vector<float> xsums(n * q.groups);
-  for (std::size_t i = 0; i < n; ++i) {
-    group_sums(q, x + i * q.cols, xsums.data() + i * q.groups);
-  }
-  const std::size_t stride = q.groups * q.bytes_per_group;
-  const std::size_t panel_len = q.groups * q.group_len;
-  const auto run_rows = [&](std::size_t rb, std::size_t re) {
-    std::vector<float> cw(panel_len, 0.0f);
-    for (std::size_t r = rb; r < re; ++r) {
-      unpack_codes_row(q, q.codes + r * stride, q.scale + r * q.groups,
-                       cw.data());
-      const float* brow = q.bias + r * q.groups;
-      std::size_t i = 0;
-      for (; i + 2 <= n; i += 2) {
-        float ta = 0.0f;
-        float tb = 0.0f;
-        qdot_row_panel2(q, cw.data(), brow, x + i * q.cols,
-                        xsums.data() + i * q.groups, x + (i + 1) * q.cols,
-                        xsums.data() + (i + 1) * q.groups, &ta, &tb);
-        y[i * q.rows + r] += ta;
-        y[(i + 1) * q.rows + r] += tb;
-      }
-      for (; i < n; ++i) {
-        y[i * q.rows + r] += qdot_row_panel(q, cw.data(), brow,
-                                            x + i * q.cols,
-                                            xsums.data() + i * q.groups);
-      }
-    }
-  };
-  if (ThreadPool::effective_global_threads() > 1) {
-    parallel_for(0, q.rows, 8, run_rows);
-  } else {
-    run_rows(0, q.rows);
-  }
-}
-
 void qgemv_batch(const QBlock& q, const float* x, std::size_t n, float* y) {
   if (n == 1) {
     // The panel fold is bitwise equal to qgemv either way; the solo kernel

@@ -126,14 +126,6 @@ float qdot(const QBlock& q, std::size_t row, const float* x,
 /// thread pool (fixed grain — bitwise identical at any thread count).
 void qgemv(const QBlock& q, const float* x, float* y);
 
-/// Row-blocked multi-vector variant: Y(n × rows) += X(n × cols) · Q_dqᵀ.
-/// Each weight row is unpacked once into a stack panel and dotted with all
-/// n inputs, amortizing the unpack across the batch (multi-token prefill).
-/// The per-input fold is dot4 over the dequantized row — NOT the qdot fold,
-/// so results differ from qgemv in the last bits (tolerance-covered).
-/// Parallel over weight rows, same determinism contract.
-void qgemv_multi(const QBlock& q, const float* x, std::size_t n, float* y);
-
 /// Batched fused dequant-dot: Y(n × rows) = X(n × cols) · Q_dqᵀ where every
 /// output element uses exactly qgemv's per-row fold — the codes of each
 /// weight row are widened to float once per batch (code widening is exact,

@@ -72,30 +72,12 @@ Matrix matmul(const Matrix& a, const Matrix& b, Trans trans_a, Trans trans_b) {
   return c;
 }
 
-Matrix matmul_col_shard(const Matrix& x, const Matrix& w_slice,
-                        std::size_t full_cols) {
-  const std::size_t m = x.rows();
-  const std::size_t k = x.cols();
-  APTQ_CHECK(w_slice.rows() == k, "matmul_col_shard: inner dimension mismatch");
-  APTQ_CHECK(w_slice.cols() <= full_cols,
-             "matmul_col_shard: slice wider than the full weight");
-  Matrix c(m, w_slice.cols());
-  if (m == 1) {
-    // Mirrors gemm()'s matvec fast path; gemv's per-column fold reads only
-    // that column, so the slice result equals the full-weight columns.
-    c.set_zero();
-    kern::gemv(x.data(), w_slice.data(), k, w_slice.cols(), c.data());
-    return c;
-  }
-  // Dispatch on the FULL output width — the solo run's cutoff — never the
-  // slice width.
-  if (2 * m * full_cols * k < kTiledMinFlops) {
-    ref::gemm(x, Trans::no, w_slice, Trans::no, c, 1.0f, 0.0f);
-    return c;
-  }
-  c.set_zero();
-  gemm_tiled(x, Trans::no, w_slice, Trans::no, c, 1.0f);
-  return c;
+Matrix matmul_rowwise(const Matrix& x, const Matrix& w) {
+  APTQ_CHECK(x.cols() == w.rows(), "matmul_rowwise: inner dimension mismatch");
+  Matrix out(x.rows(), w.cols());
+  kern::gemv_batch(x.data(), w.data(), x.rows(), x.cols(), w.cols(),
+                   out.data());
+  return out;
 }
 
 void axpy(float alpha, const Matrix& x, Matrix& y) {

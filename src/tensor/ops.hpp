@@ -30,17 +30,11 @@ void gemm(const Matrix& a, Trans trans_a, const Matrix& b, Trans trans_b,
 Matrix matmul(const Matrix& a, const Matrix& b, Trans trans_a = Trans::no,
               Trans trans_b = Trans::no);
 
-/// Sharded matmul: returns x (m×k) times a column slice w_slice (k×s) of a
-/// full k×`full_cols` weight, dispatching by the FULL shape. Tensor-parallel
-/// workers hold only a column slice of each weight; gemm()'s shape dispatch
-/// tests 2·m·n·k against the tiled cutoff, so a worker dispatching on its
-/// slice width could pick a different kernel than the solo run and break
-/// bitwise equality. Every kernel's per-element fold is invariant under
-/// column slicing (k-sequential, independent of n — docs/SHARDING.md), so
-/// forcing the solo run's dispatch makes the slice bit-identical to the
-/// matching columns of matmul(x, w_full).
-Matrix matmul_col_shard(const Matrix& x, const Matrix& w_slice,
-                        std::size_t full_cols);
+/// x (m×k) times w (k×n) through kern::gemv_batch: row i of the result is
+/// bitwise identical to the product of row i alone, at any m, any thread
+/// count and for any column slice of w — the decode engine's projection.
+/// Unlike matmul() it never switches to the tiled GEMM.
+Matrix matmul_rowwise(const Matrix& x, const Matrix& w);
 
 /// y += alpha * x (flat).
 void axpy(float alpha, const Matrix& x, Matrix& y);

@@ -1,8 +1,9 @@
 // Equivalence tests for the incremental decoding engine (model/decode.hpp):
-// prefill + steps must reproduce the full forward pass for both the dense
-// Model and the bit-packed PackedModel, serially and multi-threaded, plus
-// state lifecycle checks (capacity, reset, config mismatch) and the packed
-// sampler.
+// prefill, steps and batched steps run one forward, so prefill rows must
+// equal sequential steps bitwise (whole, chunked, dense and packed), and
+// both must reproduce the full forward pass up to rounding — serially and
+// multi-threaded — plus state lifecycle checks (capacity, reset, config
+// mismatch, bad tokens, page mapping on rejected calls) and the samplers.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,8 +19,8 @@
 namespace aptq {
 namespace {
 
-// Batched prefill (GEMM attention) and per-token steps reassociate f32 sums
-// differently from the full forward pass.
+// model_forward's GEMM attention reassociates f32 sums differently from the
+// decode engine's per-row fold.
 constexpr float kTol = 2e-4f;
 
 ModelConfig test_config() {
@@ -46,6 +47,65 @@ PackedModel packed_for(const Model& m) {
   spec.bits = 4;
   spec.group_size = 8;
   return PackedModel::pack_uniform(m, spec);
+}
+
+const ModelConfig& config_of(const Model& m) { return m.config; }
+const ModelConfig& config_of(const PackedModel& m) { return m.config(); }
+
+// Prefill rows against the same tokens fed one decode_step at a time, on
+// fresh states: exact equality, the engine's central contract.
+template <typename ModelT>
+void expect_prefill_matches_steps(const ModelT& model, const TokenSeq& tokens) {
+  DecodeState pre_state(config_of(model), tokens.size());
+  DecodeState step_state(config_of(model), tokens.size());
+  const Matrix pre = decode_prefill(model, tokens, pre_state);
+  ASSERT_EQ(pre.rows(), tokens.size());
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    const std::vector<float> step = decode_step(model, tokens[t], step_state);
+    ASSERT_EQ(step.size(), pre.cols());
+    for (std::size_t v = 0; v < step.size(); ++v) {
+      ASSERT_EQ(pre(t, v), step[v]) << "position " << t << " vocab " << v;
+    }
+  }
+  EXPECT_EQ(pre_state.pos(), step_state.pos());
+}
+
+// Feeds `tokens` in chunks of the given sizes (summing to tokens.size()) and
+// checks logits and every cached K/V row against one whole-prompt prefill.
+template <typename ModelT>
+void expect_chunked_prefill_matches_whole(
+    const ModelT& model, const TokenSeq& tokens,
+    const std::vector<std::size_t>& chunks) {
+  const ModelConfig& cfg = config_of(model);
+  DecodeState whole_state(cfg, tokens.size());
+  DecodeState chunk_state(cfg, tokens.size());
+  const Matrix whole = decode_prefill(model, tokens, whole_state);
+  std::size_t at = 0;
+  for (const std::size_t n : chunks) {
+    const Matrix part = decode_prefill(
+        model, std::span<const TokenId>(tokens.data() + at, n), chunk_state);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t v = 0; v < cfg.vocab_size; ++v) {
+        ASSERT_EQ(part(r, v), whole(at + r, v))
+            << "position " << at + r << " vocab " << v;
+      }
+    }
+    at += n;
+  }
+  ASSERT_EQ(at, tokens.size());
+  ASSERT_EQ(chunk_state.pos(), whole_state.pos());
+  for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
+    for (std::size_t t = 0; t < tokens.size(); ++t) {
+      for (std::size_t c = 0; c < cfg.kv_dim(); ++c) {
+        ASSERT_EQ(chunk_state.k_row(layer, t)[c],
+                  whole_state.k_row(layer, t)[c])
+            << "K layer " << layer << " position " << t;
+        ASSERT_EQ(chunk_state.v_row(layer, t)[c],
+                  whole_state.v_row(layer, t)[c])
+            << "V layer " << layer << " position " << t;
+      }
+    }
+  }
 }
 
 // Parameterized over the global thread count: the engine must agree with
@@ -82,6 +142,7 @@ TEST_P(DecodeEquivalence, DensePrefillAndStepsMatchFullForward) {
     }
   }
   EXPECT_EQ(state.pos(), tokens.size());
+  expect_prefill_matches_steps(m, tokens);
 }
 
 TEST_P(DecodeEquivalence, PackedPrefillAndStepsMatchPackedForward) {
@@ -96,23 +157,191 @@ TEST_P(DecodeEquivalence, PackedPrefillAndStepsMatchPackedForward) {
       pm, std::span<const TokenId>(tokens.data(), split), state);
   for (std::size_t t = 0; t < split; ++t) {
     for (std::size_t v = 0; v < pm.config().vocab_size; ++v) {
-      EXPECT_NEAR(pre(t, v), full(t, v), kTol)
+      EXPECT_EQ(pre(t, v), full(t, v))
           << "prefill position " << t << " vocab " << v;
     }
   }
-  // Single-token steps exercise the packed GEMV kernel.
   for (std::size_t t = split; t < tokens.size(); ++t) {
     const std::vector<float> logits = decode_step(pm, tokens[t], state);
     ASSERT_EQ(logits.size(), pm.config().vocab_size);
     for (std::size_t v = 0; v < logits.size(); ++v) {
-      EXPECT_NEAR(logits[v], full(t, v), kTol)
+      EXPECT_EQ(logits[v], full(t, v))
           << "step position " << t << " vocab " << v;
     }
+  }
+  expect_prefill_matches_steps(pm, tokens);
+}
+
+TEST_P(DecodeEquivalence, MixedPackedPrefillMatchesSteps) {
+  const PackedModel pm = mixed_2_4_packed(Model::init(test_config(), 23));
+  expect_prefill_matches_steps(pm, tokens_for(11, 7, pm.config().vocab_size));
+}
+
+// A prompt fed in any split is the same prompt: chunked prefill is a
+// scheduling choice, not a numerical one. 19 tokens cross a 16-position
+// KV page inside a chunk.
+TEST_P(DecodeEquivalence, ChunkedPrefillMatchesWholePrompt) {
+  const Model m = Model::init(test_config(), 24);
+  const TokenSeq tokens = tokens_for(19, 8, m.config.vocab_size);
+  const PackedModel mixed = mixed_2_4_packed(m);
+  for (const std::vector<std::size_t>& chunks :
+       {std::vector<std::size_t>{1, 3, 5, 2, 1, 7},
+        std::vector<std::size_t>{12, 7}, std::vector<std::size_t>(19, 1)}) {
+    expect_chunked_prefill_matches_whole(m, tokens, chunks);
+    expect_chunked_prefill_matches_whole(mixed, tokens, chunks);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, DecodeEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+// ---- the incremental decoder over a DecodeState ----------------------------
+
+// Step logits at every position against the full forward pass.
+void expect_steps_match_full_forward(const Model& m, const TokenSeq& tokens,
+                                     float tol) {
+  const Matrix full = model_forward(m, tokens);
+  DecodeState state(m.config, tokens.size());
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    const std::vector<float> logits = decode_step(m, tokens[t], state);
+    ASSERT_EQ(logits.size(), m.config.vocab_size);
+    for (std::size_t v = 0; v < logits.size(); ++v) {
+      EXPECT_NEAR(logits[v], full(t, v), tol)
+          << "position " << t << " vocab " << v;
+    }
+  }
+}
+
+TEST(Decoder, StepMatchesFullForward) {
+  const Model m = Model::init(test_config(), 1);
+  expect_steps_match_full_forward(m, tokens_for(9, 2, 24), 2e-4f);
+}
+
+TEST(Decoder, SingleTokenContext) {
+  const Model m = Model::init(test_config(), 3);
+  expect_steps_match_full_forward(m, tokens_for(1, 4, 24), 2e-4f);
+}
+
+TEST(Decoder, LongerContext) {
+  // 24 positions: the steps cross a 16-position KV page.
+  const Model m = Model::init(test_config(), 5);
+  expect_steps_match_full_forward(m, tokens_for(24, 6, 24), 5e-4f);
+}
+
+TEST(Decoder, PrefillEqualsStepByStep) {
+  const Model m = Model::init(test_config(), 9);
+  expect_prefill_matches_steps(m, tokens_for(10, 10, 24));
+}
+
+TEST(Decoder, ContinuesAfterPrefill) {
+  // prefill(prefix) then steps must equal the full forward on the whole.
+  const Model m = Model::init(test_config(), 11);
+  const TokenSeq tokens = tokens_for(12, 12, 24);
+  const Matrix full = model_forward(m, tokens);
+  DecodeState state(m.config, 16);
+  decode_prefill(m, std::span<const TokenId>(tokens.data(), 8), state);
+  std::vector<float> logits;
+  for (std::size_t t = 8; t < 12; ++t) {
+    logits = decode_step(m, tokens[t], state);
+  }
+  for (std::size_t v = 0; v < logits.size(); ++v) {
+    EXPECT_NEAR(logits[v], full(11, v), 5e-4f);
+  }
+}
+
+TEST(Decoder, CapacityEnforced) {
+  const Model m = Model::init(test_config(), 13);
+  DecodeState state(m.config, 3);
+  decode_step(m, 1, state);
+  decode_step(m, 2, state);
+  decode_step(m, 3, state);
+  EXPECT_THROW(decode_step(m, 4, state), Error);
+  EXPECT_EQ(state.pos(), 3u);
+  DecodeState two(m.config, 3);
+  decode_step(m, 1, two);
+  const TokenId three[3] = {2, 3, 4};
+  EXPECT_THROW(decode_prefill(m, three, two), Error);  // 1 + 3 > 3
+  EXPECT_EQ(two.pos(), 1u);
+}
+
+TEST(Decoder, ResetRestartsCleanly) {
+  const Model m = Model::init(test_config(), 14);
+  const TokenSeq tokens = tokens_for(6, 15, 24);
+  DecodeState state(m.config, 8);
+  const Matrix first = decode_prefill(m, tokens, state);
+  state.reset();
+  EXPECT_EQ(state.pos(), 0u);
+  EXPECT_TRUE(decode_prefill(m, tokens, state) == first);
+}
+
+TEST(Decoder, RejectsBadTokens) {
+  const Model m = Model::init(test_config(), 16);
+  DecodeState state(m.config, 4);
+  EXPECT_THROW(decode_step(m, 99, state), Error);
+  EXPECT_THROW(decode_step(m, -1, state), Error);
+  EXPECT_THROW(decode_prefill(m, {}, state), Error);
+  const TokenId tail_bad[3] = {1, 2, 24};
+  EXPECT_THROW(decode_prefill(m, tail_bad, state), Error);
+  EXPECT_EQ(state.pos(), 0u);
+}
+
+// A rejected call must not map pages: every row is checked before the
+// first try_reserve, so a bad token in the last row of a batch (or the
+// last token of a prompt) leaves every state exactly as it was — here with
+// row 0 sitting at a page boundary, where a reservation would map a page.
+TEST(Decoder, RejectedCallMapsNoPages) {
+  const ModelConfig cfg = test_config();
+  const Model m = Model::init(cfg, 17);
+  KvArena arena(cfg, 4, 8);
+  DecodeState a(cfg, 32, arena);
+  DecodeState b(cfg, 32, arena);
+  decode_prefill(m, tokens_for(4, 18, cfg.vocab_size), a);  // page boundary
+  decode_prefill(m, tokens_for(2, 19, cfg.vocab_size), b);
+  ASSERT_EQ(a.pages_held(), 1u);
+  ASSERT_EQ(b.pages_held(), 1u);
+  const std::size_t free_before = arena.free_pages();
+
+  const TokenId toks[2] = {1, static_cast<TokenId>(cfg.vocab_size)};
+  DecodeState* sts[2] = {&a, &b};
+  EXPECT_THROW(decode_step_batch(m, toks, sts), Error);
+  const TokenId prompt[3] = {1, 2, -1};
+  EXPECT_THROW(decode_prefill(m, prompt, a), Error);
+
+  EXPECT_EQ(a.pos(), 4u);
+  EXPECT_EQ(b.pos(), 2u);
+  EXPECT_EQ(a.pages_held(), 1u);
+  EXPECT_EQ(b.pages_held(), 1u);
+  EXPECT_EQ(arena.free_pages(), free_before);
+}
+
+TEST(DecodeSample, GreedyPathsAgreeWithFullForward) {
+  // Near-greedy sampling through the decode engine (sample_from_model)
+  // follows the same argmax path as the sampling loop driven by full-prefix
+  // recomputation.
+  const Model m = Model::init(test_config(), 17);
+  SampleConfig cfg;
+  cfg.temperature = 0.01f;
+  const TokenSeq prompt = {3, 5};
+  Rng a(18), b(18);
+  const TokenSeq fast = sample_from_model(m, 14, a, cfg, prompt);
+  TokenSeq context;
+  const auto last_row = [&] {
+    const Matrix logits = model_forward(m, context);
+    const auto last = logits.row(logits.rows() - 1);
+    return std::vector<float>(last.begin(), last.end());
+  };
+  const TokenSeq slow = sample_with_engine(
+      m.config.vocab_size, 14, b, cfg, prompt,
+      [&](std::span<const TokenId> tokens) {
+        context.assign(tokens.begin(), tokens.end());
+        return last_row();
+      },
+      [&](TokenId token) {
+        context.push_back(token);
+        return last_row();
+      });
+  EXPECT_EQ(fast, slow);
+}
 
 TEST(DecodeState, CapacityEnforcedAndReusableAfterReset) {
   const Model m = Model::init(test_config(), 23);
@@ -359,7 +588,7 @@ TEST(DecodeState, RejectsZeroCapacity) {
 // same model hold bit-identical codes and group parameters, so decode must
 // agree to the last bit: same kernels, same fixed parallel grains. The
 // prefill width covers both the single-row qgemv path (batch 1) and the
-// row-blocked qgemv_multi path (batch 8), for every quantized matmul in
+// prescaled-panel qgemv_batch path (batch 8), for every quantized matmul in
 // the stack.
 class PackedV2Oracle : public ::testing::TestWithParam<std::size_t> {};
 

@@ -8,7 +8,7 @@
 
 #include "core/pipeline.hpp"
 #include "model/backward.hpp"
-#include "model/decoder.hpp"
+#include "model/decode.hpp"
 #include "model/forward.hpp"
 #include "quant/packed_model.hpp"
 #include "tensor/ops.hpp"
@@ -142,9 +142,9 @@ TEST(GqaDecoder, MatchesFullForward) {
   const Model m = Model::init(gqa_config(), 8);
   const TokenSeq tokens = tokens_for(10, 9);
   const Matrix full = model_forward(m, tokens);
-  Decoder dec(m, 12);
+  DecodeState state(m.config, 12);
   for (std::size_t t = 0; t < tokens.size(); ++t) {
-    const auto logits = dec.step(tokens[t]);
+    const auto logits = decode_step(m, tokens[t], state);
     for (std::size_t v = 0; v < logits.size(); ++v) {
       EXPECT_NEAR(logits[v], full(t, v), 5e-4f) << "t=" << t;
     }

@@ -2,7 +2,7 @@
 // tiled GEMM vs the retained naive reference across all four Trans variants
 // and non-tile-multiple shapes, the SYRK upper-triangle fast path, the
 // symmetric matvec, the GPTQ panel update, the gemv matvec fast path, the
-// blocked dequant-dot kernels (qgemv/qdot/qgemv_multi) vs their naive
+// blocked dequant-dot kernels (qgemv/qdot/qgemv_batch) vs their naive
 // oracle — and the determinism contract: bitwise-identical results at
 // 1/2/4 threads.
 #include <gtest/gtest.h>
@@ -255,7 +255,7 @@ TEST(Dot4, MatchesSerialDotWithinTolerance) {
 
 // ---- blocked dequant-dot kernels vs the naive oracle -----------------------
 //
-// kern::qgemv / qdot / qgemv_multi vectorize the nibble unpack and
+// kern::qgemv / qdot / qgemv_batch vectorize the nibble unpack and
 // reassociate the k-fold, so agreement with aptq::ref's per-element loop is
 // tolerance-based (pinned below); the determinism contract (bitwise equal
 // at any thread count within one build) is exact.
@@ -318,8 +318,8 @@ TEST(QuantizedGemv, MultiRequestVariantMatchesPerRowGemv) {
   const Matrix x = random_matrix(n, cols, 202);
   const QuantizedLinear packed(w, qspec(4, 16));
   const QBlock q = packed.block_view();
-  std::vector<float> multi(n * rows, 0.0f);
-  kern::qgemv_multi(q, x.data(), n, multi.data());
+  std::vector<float> multi(n * rows, -1.0f);
+  kern::qgemv_batch(q, x.data(), n, multi.data());
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<float> solo(rows, 0.0f);
     ref::qgemv(q, x.data() + i * cols, solo.data());
@@ -337,21 +337,15 @@ TEST(QuantizedGemv, BitwiseIdenticalAtAnyThreadCount) {
   for (const int bits : {2, 4}) {
     const QuantizedLinear packed(w, qspec(bits, 16));
     const QBlock q = packed.block_view();
-    std::vector<float> base_gemv(rows), base_multi(4 * rows);
+    std::vector<float> base_gemv(rows);
     ThreadPool::set_global_threads(1);
     kern::qgemv(q, x.data(), base_gemv.data());
-    std::fill(base_multi.begin(), base_multi.end(), 0.0f);
-    kern::qgemv_multi(q, x.data(), 4, base_multi.data());
     for (const std::size_t threads : {2ul, 4ul}) {
       ThreadPool::set_global_threads(threads);
       std::vector<float> y(rows, -7.0f);
       kern::qgemv(q, x.data(), y.data());
       EXPECT_EQ(y, base_gemv) << "bits=" << bits << " " << threads
                               << " threads";
-      std::vector<float> ym(4 * rows, 0.0f);
-      kern::qgemv_multi(q, x.data(), 4, ym.data());
-      EXPECT_EQ(ym, base_multi) << "bits=" << bits << " " << threads
-                                << " threads";
     }
   }
   ThreadPool::set_global_threads(1);

@@ -11,6 +11,7 @@
 
 #include "net/frame.hpp"
 #include "net/shard.hpp"
+#include "net/sharded_model.hpp"
 #include "net/stream.hpp"
 #include "net/worker.hpp"
 #include "util/check.hpp"
@@ -42,7 +43,7 @@ std::vector<std::uint8_t> valid_session_bytes() {
     x.flat()[i] = 0.01f * static_cast<float>(i);
   }
   send_frame(wire, MsgType::project,
-             encode_project(ProjectOp::single, 0, LinearKind::q_proj, x));
+             encode_project(0, LinearKind::q_proj, x));
   send_frame(wire, MsgType::shutdown, {});
   return wire.written();
 }
@@ -152,6 +153,33 @@ TEST(NetFuzzTest, WorkerReportsErrorBeforeDying) {
   EXPECT_NE(text.find("version"), std::string::npos);
 }
 
+TEST(NetFuzzTest, ProtocolV2PeerRejectedAtHandshake) {
+  // v3 project frames carry no op word, so a v2 peer would misparse every
+  // projection: both ends refuse it at the handshake instead.
+  MemStream to_worker;
+  send_frame(to_worker, MsgType::hello, encode_u32(2));
+  MemStream session(to_worker.written());
+  EXPECT_THROW(serve_worker(session), Error);
+  MemStream replies(session.written());
+  EXPECT_EQ(recv_frame(replies, kMaxControlPayload).type,
+            MsgType::error_report);
+
+  HelloAck v2;
+  v2.version = 2;
+  MemStream to_root;
+  send_frame(to_root, MsgType::hello_ack, encode_hello_ack(v2));
+  std::vector<std::unique_ptr<Stream>> workers;
+  workers.push_back(std::make_unique<MemStream>(to_root.written()));
+  try {
+    ShardedModel sharded(Model::init(fuzz_config(), 5), std::move(workers));
+    FAIL() << "a protocol v2 worker must be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("protocol version 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(NetFuzzTest, CorruptedShardPayloadRejected) {
   const Model model = Model::init(fuzz_config(), 5);
   const std::vector<std::uint8_t> shard = shard_to_bytes(make_shard(model, 1, 2));
@@ -177,7 +205,7 @@ TEST(NetFuzzTest, CorruptedShardPayloadRejected) {
 TEST(NetFuzzTest, ProjectPayloadFuzz) {
   Matrix x(2, 16);
   const std::vector<std::uint8_t> good =
-      encode_project(ProjectOp::batch, 1, LinearKind::up_proj, x);
+      encode_project(1, LinearKind::up_proj, x);
   // Truncations: every prefix fails.
   for (std::size_t cut = 0; cut < good.size(); cut += 3) {
     EXPECT_THROW(decode_project(std::vector<std::uint8_t>(
@@ -188,16 +216,16 @@ TEST(NetFuzzTest, ProjectPayloadFuzz) {
   // payload — the division-form size check rejects it without allocating.
   std::vector<std::uint8_t> huge = good;
   const std::uint64_t big = 1ull << 58;
-  // rows field of the matrix: after op/layer/kind (12) + trace context (16)
-  std::memcpy(huge.data() + 28, &big, 8);
+  // rows field of the matrix: after layer/kind (8) + trace context (16)
+  std::memcpy(huge.data() + 24, &big, 8);
   EXPECT_THROW(decode_project(huge), Error);
 }
 
 TEST(NetFuzzTest, ProjectTraceContextFuzz) {
   Matrix x(2, 16);
   // Round trip with a trace context attached.
-  const std::vector<std::uint8_t> traced = encode_project(
-      ProjectOp::batch, 1, LinearKind::up_proj, x, 0xabcdef12u, 0x77u);
+  const std::vector<std::uint8_t> traced =
+      encode_project(1, LinearKind::up_proj, x, 0xabcdef12u, 0x77u);
   const ProjectRequest req = decode_project(traced);
   EXPECT_EQ(req.trace_id, 0xabcdef12u);
   EXPECT_EQ(req.parent_span_id, 0x77u);
@@ -205,20 +233,20 @@ TEST(NetFuzzTest, ProjectTraceContextFuzz) {
   // Half-set trace context (id without parent and vice versa) is exactly
   // what a bit flip inside the trace fields produces — rejected, not
   // propagated into a nonsense trace.
-  std::vector<std::uint8_t> half = encode_project(
-      ProjectOp::batch, 1, LinearKind::up_proj, x, 0, 0);
+  std::vector<std::uint8_t> half =
+      encode_project(1, LinearKind::up_proj, x, 0, 0);
   const std::uint64_t one = 1;
-  std::memcpy(half.data() + 12, &one, 8);  // trace_id = 1, parent = 0
+  std::memcpy(half.data() + 8, &one, 8);  // trace_id = 1, parent = 0
   EXPECT_THROW(decode_project(half), Error);
-  std::memcpy(half.data() + 12, &req.trace_id, 8);
+  std::memcpy(half.data() + 8, &req.trace_id, 8);
   std::vector<std::uint8_t> half2 = half;
   std::uint64_t zero = 0;
-  std::memcpy(half2.data() + 12, &zero, 8);
-  std::memcpy(half2.data() + 20, &one, 8);  // parent = 1, trace_id = 0
+  std::memcpy(half2.data() + 8, &zero, 8);
+  std::memcpy(half2.data() + 16, &one, 8);  // parent = 1, trace_id = 0
   EXPECT_THROW(decode_project(half2), Error);
 
   // Truncations inside the trace fields fail cleanly.
-  for (std::size_t cut = 13; cut <= 27; cut += 5) {
+  for (std::size_t cut = 9; cut <= 23; cut += 5) {
     EXPECT_THROW(decode_project(std::vector<std::uint8_t>(
                      traced.begin(), traced.begin() + cut)),
                  Error)
@@ -274,7 +302,7 @@ TEST(NetFuzzTest, WorkerShipsSpansOnTraceFlush) {
              shard_to_bytes(make_shard(model, 0, 2)));
   Matrix x(1, fuzz_config().dim);
   send_frame(wire, MsgType::project,
-             encode_project(ProjectOp::single, 0, LinearKind::q_proj, x,
+             encode_project(0, LinearKind::q_proj, x,
                             /*trace_id=*/5, /*parent_span_id=*/5));
   send_frame(wire, MsgType::trace_flush, {});
   send_frame(wire, MsgType::shutdown, {});

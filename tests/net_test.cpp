@@ -170,10 +170,8 @@ TEST(CodecTest, ProjectRoundTrip) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x.flat()[i] = static_cast<float>(i);
   }
-  const auto bytes =
-      encode_project(ProjectOp::batch, 3, LinearKind::gate_proj, x);
+  const auto bytes = encode_project(3, LinearKind::gate_proj, x);
   const ProjectRequest req = decode_project(bytes);
-  EXPECT_EQ(req.op, ProjectOp::batch);
   EXPECT_EQ(req.layer, 3u);
   EXPECT_EQ(req.kind, LinearKind::gate_proj);
   EXPECT_EQ(req.x, x);
@@ -182,8 +180,8 @@ TEST(CodecTest, ProjectRoundTrip) {
 TEST(CodecTest, ProjectRejectsBadDiscriminators) {
   Matrix x(1, 4);
   std::vector<std::uint8_t> bytes =
-      encode_project(ProjectOp::single, 0, LinearKind::q_proj, x);
-  bytes[0] = 0x7f;  // op discriminator
+      encode_project(0, LinearKind::q_proj, x);
+  bytes[4] = 0x7f;  // linear-kind discriminator
   EXPECT_THROW(decode_project(bytes), Error);
 }
 

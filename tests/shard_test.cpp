@@ -82,7 +82,8 @@ TokenSeq tokens_for(std::size_t n, std::uint64_t seed, std::size_t vocab) {
   return t;
 }
 
-/// Prefill + solo steps + a batched step, solo vs sharded, exact equality.
+/// Prefill + solo steps + a batched step, solo vs sharded, and prefill vs
+/// sequential steps: exact equality.
 template <typename ModelT>
 void check_decode_equivalence(const ModelT& model, std::size_t n_workers) {
   const ModelConfig& cfg = shard_config();
@@ -96,6 +97,14 @@ void check_decode_equivalence(const ModelT& model, std::size_t n_workers) {
   const Matrix solo_prefill = decode_prefill(model, prompt, solo_state);
   const Matrix shard_prefill = decode_prefill(sharded, prompt, shard_state);
   EXPECT_EQ(solo_prefill, shard_prefill);
+  // Prefill row t == the t-th of sequential solo steps over the prompt.
+  DecodeState seq_state(cfg, 64);
+  for (std::size_t t = 0; t < prompt.size(); ++t) {
+    const std::vector<float> step = decode_step(model, prompt[t], seq_state);
+    for (std::size_t v = 0; v < step.size(); ++v) {
+      ASSERT_EQ(shard_prefill(t, v), step[v]) << "position " << t;
+    }
+  }
 
   for (TokenId t : tokens_for(4, 7, cfg.vocab_size)) {
     const std::vector<float> solo = decode_step(model, t, solo_state);

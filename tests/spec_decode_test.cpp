@@ -1,5 +1,5 @@
 // Output-equivalence suite for exact speculative decoding (serve/spec.hpp,
-// decode_verify, DecodeState::rewind).
+// decode_prefill as the verifier, DecodeState::rewind).
 //
 // The contract under test: a speculative request's token stream is BITWISE
 // IDENTICAL to the same request decoded without speculation — across draft
@@ -9,7 +9,7 @@
 // pages go back to the arena, not just the cursor).
 //
 // Layers covered:
-//   1. decode_verify row j == decode_step j's logits, float for float,
+//   1. decode_prefill row j == decode_step j's logits, float for float,
 //      for dense, packed, and after partial-accept rewinds.
 //   2. DecodeState::rewind releases shared-arena pages and a re-decode
 //      over the rewound span reproduces the original logits.
@@ -127,7 +127,7 @@ std::size_t solo_mapped_bytes(const ModelConfig& c, std::size_t page_positions,
 }
 
 // ---------------------------------------------------------------------------
-// 1. decode_verify == sequential decode_step, bitwise.
+// 1. decode_prefill (the verify pass) == sequential decode_step, bitwise.
 // ---------------------------------------------------------------------------
 
 template <typename ModelT>
@@ -145,7 +145,7 @@ void expect_verify_bitwise(const ModelT& model, std::size_t m,
   for (const TokenId t : cont) {
     expected.push_back(decode_step(model, t, solo));
   }
-  const Matrix got = decode_verify(model, cont, ver);
+  const Matrix got = decode_prefill(model, cont, ver);
   ASSERT_EQ(got.rows(), m);
   ASSERT_EQ(got.cols(), vocab);
   EXPECT_EQ(ver.pos(), prompt.size() + m);
@@ -196,7 +196,7 @@ TEST_P(DecodeVerify, RewindAfterVerifyResumesExactly) {
 
   DecodeState spec(test_config(), 64);
   decode_prefill(m, prompt, spec);
-  decode_verify(m, cont, spec);
+  decode_prefill(m, cont, spec);
   const std::size_t accept = 2;
   spec.rewind(prompt.size() + accept);
 
@@ -219,7 +219,8 @@ TEST(DecodeVerifyLimits, ThrowsPastMaxContext) {
   DecodeState state(test_config(), 8);
   decode_prefill(m, tokens_for(6, 11, test_config().vocab_size), state);
   const TokenSeq three = tokens_for(3, 12, test_config().vocab_size);
-  EXPECT_THROW(decode_verify(m, three, state), Error);
+  EXPECT_THROW(decode_prefill(m, three, state), Error);
+  EXPECT_EQ(state.pos(), 6u);
 }
 
 // ---------------------------------------------------------------------------
@@ -425,13 +426,6 @@ Backend scripted_draft(const ModelConfig& config,
       one_hot(out.row(r), script(pos0 + r + 1));
     }
     return out;
-  };
-  b.step = [script, vocab, one_hot](TokenId, DecodeState& state) {
-    APTQ_CHECK(state.try_reserve(1), "scripted draft: no pages");
-    state.advance(1);
-    std::vector<float> logits(vocab, 0.0f);
-    one_hot(logits, script(state.pos()));
-    return logits;
   };
   return b;
 }
@@ -711,10 +705,11 @@ TEST(SpecValidation, VocabMismatchRejectedAtSubmitWithClearError) {
 }
 
 TEST(SpecValidation, EngineWithoutVerifyBackendRefusesSpecConfig) {
+  // The verify pass is the target's prefill.
   const Model draft = Model::init(test_config(), 84);
   const Model target = Model::init(test_config(), 85);
   Backend no_verify = make_backend(target);
-  no_verify.verify = nullptr;
+  no_verify.prefill = nullptr;
   SpecConfig sc;
   sc.draft = make_backend(draft);
   ServeConfig cfg;
